@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.obs.events import RecordLevel
 from repro.platform.machines import MACHINES, MachineModel
@@ -43,7 +43,7 @@ from repro.runtime.overhead import SchedOverheadModel
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.power import ArchPower, PowerModel, PowerStateModel
 from repro.runtime.resources import ResourceProtocol
-from repro.runtime.stf import Program
+from repro.runtime.stf import Program, template_key
 from repro.schedulers.base import Scheduler
 from repro.schedulers.registry import make_scheduler
 from repro.utils.validation import ValidationError
@@ -178,7 +178,8 @@ class SimSpec:
         plane, applied by the stream and cluster paths.
     isolated_baseline:
         Whether stream/cluster runs also simulate each job alone to
-        report per-job slowdowns.
+        report per-job slowdowns. Jobs whose programs share a
+        :meth:`~repro.runtime.stf.Program.signature` share one run.
     """
 
     machine: MachineModel | str = "intel-v100"
@@ -294,16 +295,22 @@ class SimSpec:
         if plane is not None:
             completed = {r.jid for r in plane.records() if r.status == "done"}
 
+        # Isolated makespans by jid, one engine run per distinct program
+        # structure: factories build a fresh program per job, and
+        # structurally equal programs simulate identically.
         isolated: dict[int, float] = {}
         if self.isolated_baseline:
+            by_template: dict[Hashable, float] = {}
             for job in stream.jobs:
                 if completed is not None and job.jid not in completed:
                     continue
-                key = id(job.program)
-                if key not in isolated:
-                    isolated[key] = _build_simulator(
+                key = template_key(job.program)
+                makespan = by_template.get(key)
+                if makespan is None:
+                    makespan = by_template[key] = _build_simulator(
                         cfg, mach, self.scheduler
                     ).run(job.program).makespan
+                isolated[job.jid] = makespan
 
         # Per-job busy-energy attribution: with the power subsystem on
         # (``config.power``) the engine stamped state-aware joules per
@@ -333,7 +340,6 @@ class SimSpec:
                 if ej is None:
                     ej = (rec[3] - rec[2]) * watts_of[rec[0]] * 1e-6
                 joules += ej
-            job = next(j for j in stream.jobs if j.jid == span.jid)
             jobs.append(JobResult(
                 jid=span.jid,
                 name=span.name,
@@ -342,7 +348,7 @@ class SimSpec:
                 start_us=min(r[2] for r in records),
                 end_us=max(r[3] for r in records),
                 n_tasks=span.n_tasks,
-                isolated_us=isolated.get(id(job.program)),
+                isolated_us=isolated.get(span.jid),
                 deadline_us=(
                     span.deadline_us
                     if span.deadline_us != float("inf")

@@ -43,6 +43,11 @@ properties a correct simulator cannot violate regardless of policy:
   :class:`~repro.runtime.power.EnergyReport` total must equal
   :func:`~repro.extensions.energy.energy_of_result` on the same run,
   bit for bit.
+* **Baseline dedup** — stream and cluster runs simulate one isolated
+  baseline per distinct program structure (and, on a cluster, per node
+  machine model); every job's ``isolated_us`` must still equal a
+  standalone run of that job's own program, bit for bit, under noise,
+  faults and heterogeneous nodes.
 
 :func:`run_differential_suite` bundles these with an invariant-checked
 sweep over the built-in applications × schedulers (with and without a
@@ -635,6 +640,91 @@ def check_cluster_single_node_equivalence(
     return out
 
 
+def check_stream_baseline_dedup(
+    machine: MachineModel,
+    schedulers: Iterable[str],
+) -> list[CheckOutcome]:
+    """Shared isolated baselines must equal per-job standalone runs.
+
+    Two runs per scheduler, each comparing every job's ``isolated_us``
+    with ``SimSpec.run`` of that job's program alone:
+
+    * a Poisson stream with execution noise and a transient fault load
+      — the baseline of a job whose structure an earlier job shares is
+      that earlier job's run, so the noise and fault draws must replay
+      identically per structure;
+    * a chained cluster workload on a cluster of two machine models —
+      baselines are shared per (machine, structure), so a job must get
+      the baseline of its own node's machine.
+    """
+    from repro.api import SimSpec
+    from repro.cluster.sim import simulate_cluster
+    from repro.cluster.spec import ClusterNodeSpec, ClusterSpec, InterLinkSpec
+    from repro.experiments.cluster_scale import cluster_workload
+    from repro.platform.machines import small_hetero
+    from repro.workload.stream import poisson_stream
+
+    nodes = (
+        ClusterNodeSpec("big", machine),
+        ClusterNodeSpec("small", small_hetero(n_cpus=2)),
+        ClusterNodeSpec("big2", machine),
+    )
+    cluster = ClusterSpec(
+        name="hetero-star",
+        nodes=nodes,
+        links=tuple(
+            link
+            for node in nodes
+            for link in (
+                InterLinkSpec(node.name, "sw0", 12.5, 50.0),
+                InterLinkSpec("sw0", node.name, 12.5, 50.0),
+            )
+        ),
+        switches=("sw0",),
+    )
+    out = []
+    for scheduler in schedulers:
+        stream = poisson_stream(
+            [lambda: cholesky_program(4, 512), lambda: lu_program(4, 512)],
+            rate_jobs_per_s=80.0,
+            n_jobs=6,
+            seed=17,
+            tenants=("t0", "t1"),
+        )
+        spec = SimSpec(
+            machine, scheduler, seed=3, noise_sigma=0.2,
+            faults=FaultModel(task_failure_rate=0.05, seed=1),
+        )
+        res = spec.run_stream(stream)
+        alone = [spec.run(job.program).makespan for job in stream.jobs]
+        out.append(CheckOutcome(
+            f"stream.baseline_dedup[poisson/{scheduler}]",
+            [j.isolated_us for j in res.jobs] == alone,
+            "a shared isolated baseline differs from the job's standalone "
+            "run under noise and faults",
+        ))
+
+        chains = cluster_workload(n_chains=4, chain_len=2, seed=2)
+        # Round-robin lands both job shapes on both machine models.
+        clustered = simulate_cluster(
+            chains, cluster, scheduler, placement="round-robin"
+        )
+        program_of = {job.jid: job.program for job in chains.jobs}
+        machine_of = {node.name: node.machine for node in nodes}
+        ok = len(clustered.jobs) == len(chains.jobs) and all(
+            j.isolated_us
+            == SimSpec(machine_of[j.node], scheduler).run(program_of[j.jid]).makespan
+            for j in clustered.jobs
+        )
+        out.append(CheckOutcome(
+            f"stream.baseline_dedup[cluster/{scheduler}]",
+            ok,
+            "a shared cluster baseline differs from the job's standalone "
+            "run on its node's machine",
+        ))
+    return out
+
+
 # -- the suite -------------------------------------------------------------
 
 
@@ -686,6 +776,9 @@ def run_differential_suite(
         mach, schedulers[:1] if quick else schedulers
     ))
     emit(check_cluster_single_node_equivalence(
+        mach, schedulers[:1] if quick else schedulers
+    ))
+    emit(check_stream_baseline_dedup(
         mach, schedulers[:1] if quick else schedulers
     ))
     return results

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.api import SimConfig, _UNSET, _build_simulator, _legacy_config
 from repro.cluster.result import (
@@ -61,7 +61,7 @@ from repro.cluster.placement import (
 from repro.obs.events import JobRejected, RecordLevel
 from repro.platform.machines import MachineModel
 from repro.runtime.perfmodel import AnalyticalPerfModel
-from repro.runtime.stf import Program
+from repro.runtime.stf import Program, template_key
 from repro.sweep import CallSpec, run_tasks
 from repro.utils.validation import ValidationError
 from repro.workload.merge import merge_stream
@@ -280,20 +280,33 @@ def simulate_cluster(
     clus.reset_runtime_state()
     events: list = []
 
-    # Per-(node, program) work estimates, shared by admission costing and
-    # placement scoring. Cached by program identity — streams routinely
-    # reuse one program object across jobs.
+    # A job's work estimate and isolated baseline on a node depend on the
+    # node only through its machine model, and on the job only through
+    # its program's structure (``ProgramFactory`` builds a fresh program
+    # per job, so identity would never share). Both caches are keyed by
+    # (machine, template), each interned to a small int once so a lookup
+    # does not rehash a structural key.
+    machines: dict[MachineModel, int] = {}
+    machine_id = {
+        n: machines.setdefault(clus.machine_of(n), len(machines))
+        for n in clus.node_names
+    }
+    templates: dict[Hashable, int] = {}
+    template_of = {
+        j.jid: templates.setdefault(template_key(j.program), len(templates))
+        for j in stream.jobs
+    }
+    program_of: dict[int, Program] = {j.jid: j.program for j in stream.jobs}
     archs_by_node = {name: clus.archs_of(name) for name in clus.node_names}
-    work_cache: dict[tuple[str, int], float] = {}
+    work_cache: dict[tuple[int, int], float] = {}
 
-    def work_on(node: str, program: Program) -> float:
-        key = (node, id(program))
+    def work_on(node: str, jid: int) -> float:
+        key = (machine_id[node], template_of[jid])
         cached = work_cache.get(key)
         if cached is None:
-            cached = job_work_us(
-                program, clus.perfmodel_of(node), archs_by_node[node]
+            cached = work_cache[key] = job_work_us(
+                program_of[jid], clus.perfmodel_of(node), archs_by_node[node]
             )
-            work_cache[key] = cached
         return cached
 
     # -- global admission (quotas at the cluster door) -------------------
@@ -310,7 +323,7 @@ def simulate_cluster(
             admitted.append(job)
             admitted_jids.add(job.jid)
             continue
-        cost = min(work_on(n, job.program) for n in clus.node_names)
+        cost = min(work_on(n, job.jid) for n in clus.node_names)
         if not math.isfinite(cost):
             cost = 0.0  # infeasible everywhere; placement will raise
         now = job.arrival_us
@@ -328,16 +341,13 @@ def simulate_cluster(
     # -- global placement ------------------------------------------------
     global_sched = GlobalScheduler(clus, policy)
     for job in admitted:
-        work = tuple(work_on(n, job.program) for n in clus.node_names)
+        work = tuple(work_on(n, job.jid) for n in clus.node_names)
         pred: tuple[int, int] | None = None
         if job.after is not None and job.after in admitted_jids:
             pred_record = global_sched.placements[job.after]
-            pred_program = next(
-                j.program for j in stream.jobs if j.jid == job.after
-            )
             pred = (
                 clus.node_index(pred_record.node),
-                job_output_bytes(pred_program),
+                job_output_bytes(program_of[job.after]),
             )
         global_sched.place(job, work, pred)
     events.extend(global_sched.events)
@@ -346,7 +356,6 @@ def simulate_cluster(
     # -- per-node sub-streams and cross-node edges -----------------------
     jobs_by_node: dict[str, list[Job]] = {n: [] for n in clus.node_names}
     cross_edges: list[tuple[int, int, str, str, int]] = []
-    program_of: dict[int, Program] = {j.jid: j.program for j in stream.jobs}
     for job in admitted:
         node = placements[job.jid].node
         sub = job
@@ -414,21 +423,21 @@ def simulate_cluster(
     # -- isolated baselines (on each job's placed node) ------------------
     isolated: dict[int, float] = {}
     if isolated_baseline and admitted:
-        keys: list[tuple[str, int]] = []
+        cell_of: dict[tuple[int, int], int] = {}
+        cell_of_jid: dict[int, int] = {}
         cells = []
         for job in admitted:
             node = placements[job.jid].node
-            key = (node, id(job.program))
-            if key not in keys:
-                keys.append(key)
+            key = (machine_id[node], template_of[job.jid])
+            if key not in cell_of:
+                cell_of[key] = len(cells)
                 cells.append(CallSpec(
                     _baseline_cell,
                     (clus.machine_of(node), job.program, scheduler, cfg),
                 ))
+            cell_of_jid[job.jid] = cell_of[key]
         makespans = run_tasks(cells, jobs=jobs, progress=progress)
-        by_key = dict(zip(keys, makespans))
-        for job in admitted:
-            isolated[job.jid] = by_key[(placements[job.jid].node, id(job.program))]
+        isolated = {jid: makespans[i] for jid, i in cell_of_jid.items()}
 
     # -- assembly --------------------------------------------------------
     node_sims = {n: p["sim"] for n, p in payload_by_node.items()}

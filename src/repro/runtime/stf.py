@@ -13,7 +13,7 @@ writes, and the task flow derives the DAG exactly like StarPU's STF model:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 from repro.runtime.data import DataHandle
 from repro.runtime.task import AccessMode, Task
@@ -96,6 +96,44 @@ class Program:
         """Sum of task flop counts."""
         return sum(t.flops for t in self.tasks)
 
+    def signature(self) -> tuple:
+        """A hashable structural key: programs with equal keys simulate
+        identically.
+
+        Covers the name, ``release_times``, each handle's ``(hid, size,
+        home_node, label, key)`` and each task's ``(tid, type_name,
+        flops, implementations, priority, tag, resources, deadline_us)``
+        plus its accesses as ``(local handle index, mode)`` and its
+        predecessors and successors as local task indices, all in
+        program order. Implementations enter as their frozenset, which
+        compares like the sorted names. Ids are kept beside the local
+        indices so hand-built programs with sparse ids never collide.
+        Runtime state is excluded: it is reset before every run.
+
+        Raises ``TypeError`` when a task tag or handle key is unhashable.
+        """
+        # Tasks and handles hash by identity, so they key these maps
+        # directly; a stream computes one signature per job.
+        hidx = {h: i for i, h in enumerate(self.handles)}
+        tidx = {t: i for i, t in enumerate(self.tasks)}
+        sig = (
+            self.name,
+            self.release_times,
+            tuple([(h.hid, h.size, h.home_node, h.label, h.key) for h in self.handles]),
+            tuple([
+                (
+                    t.tid, t.type_name, t.flops, t.implementations,
+                    t.priority, t.tag, t.resources, t.deadline_us,
+                    tuple([(hidx[h], m) for h, m in t.accesses]),
+                    tuple([tidx[p] for p in t.preds]),
+                    tuple([tidx[s] for s in t.succs]),
+                )
+                for t in self.tasks
+            ]),
+        )
+        hash(sig)
+        return sig
+
     def reset_runtime_state(self) -> None:
         """Reset all tasks and handles so the program can be re-simulated."""
         for task in self.tasks:
@@ -108,6 +146,20 @@ class Program:
             f"<Program {self.name!r}: {len(self.tasks)} tasks, "
             f"{self.n_edges} edges, {len(self.handles)} handles>"
         )
+
+
+def template_key(program: Program) -> Hashable:
+    """Cache key for per-program results such as isolated baselines.
+
+    :meth:`Program.signature` when it is hashable, so structurally equal
+    programs share one entry. A program with an unhashable tag or handle
+    key is its own key: it is simulated on its own, which is correct,
+    only slower.
+    """
+    try:
+        return program.signature()
+    except TypeError:
+        return program
 
 
 class TaskFlow:

@@ -23,6 +23,7 @@ same tombstoning idea MultiPrio uses for its per-node duplicates).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heappop, heappush
 
 from repro.runtime.task import Task, TaskState
@@ -35,6 +36,25 @@ _M64 = (1 << 64) - 1
 #: Length of the precomputed two-choice pair table (power of two so the
 #: cursor wraps with a mask).
 _PAIR_TABLE = 4096
+
+
+@lru_cache(maxsize=64)
+def _pair_table(seed: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The seeded two-choice index pairs, built once per ``(seed, k)``.
+
+    The table is read-only, so every run and every instance with the
+    same seed and ``k`` shares one copy and replays the same draws.
+    """
+    # Deterministic non-zero xorshift64 state derived from the seed
+    # (SplitMix-style scramble so seed=0 still yields a full stream).
+    rng = ((seed * 0x9E3779B97F4A7C15) ^ 0xBF58476D1CE4E5B9) & _M64 | 1
+    pairs = []
+    for _ in range(_PAIR_TABLE):
+        rng ^= (rng << 13) & _M64
+        rng ^= rng >> 7
+        rng ^= (rng << 17) & _M64
+        pairs.append((rng % k, (rng >> 32) % k))
+    return tuple(pairs)
 
 
 class MultiQueue(Scheduler):
@@ -64,7 +84,7 @@ class MultiQueue(Scheduler):
         self._groups: dict[str, list[list[tuple[int, int, int, Task]]]] = {}
         self._sizes: dict[str, list[int]] = {}
         self._seq = 0
-        self._pairs: list[tuple[int, int]] = [(0, 0)]
+        self._pairs: tuple[tuple[int, int], ...] = ((0, 0),)
         self._cursor = 0
         self._n_live = 0
         self._n_stale_discards = 0
@@ -76,22 +96,12 @@ class MultiQueue(Scheduler):
         self._groups = {a: [[] for _ in range(self.k)] for a in ctx.available_archs}
         self._sizes = {a: [0] * self.k for a in ctx.available_archs}
         self._seq = 0
-        # Deterministic non-zero xorshift64 state derived from the seed
-        # (SplitMix-style scramble so seed=0 still yields a full stream).
-        rng = ((self.seed * 0x9E3779B97F4A7C15) ^ 0xBF58476D1CE4E5B9) & _M64 | 1
         # The two choices come from a seeded table of index pairs cycled
         # by a cursor: a table lookup costs a fraction of a Python-level
         # xorshift step, and two-choice balance only needs the pair
         # sequence to be seed-deterministic and well spread, not
         # cryptographically long — the cycle (4096 draws) dwarfs k.
-        k = self.k
-        pairs = []
-        for _ in range(_PAIR_TABLE):
-            rng ^= (rng << 13) & _M64
-            rng ^= rng >> 7
-            rng ^= (rng << 17) & _M64
-            pairs.append((rng % k, (rng >> 32) % k))
-        self._pairs = pairs
+        self._pairs = _pair_table(self.seed, self.k)
         self._cursor = 0
         self._n_live = 0
         self._n_stale_discards = 0

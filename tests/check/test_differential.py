@@ -92,7 +92,7 @@ class TestSuite:
             "batch.equivalence", "batch.nodrain_complete",
             "rt.overhead_noop", "rt.resources_noop", "rt.deadline_noop",
             "power.noop_ladder", "power.noop_metering",
-            "power.metering_joules",
+            "power.metering_joules", "stream.baseline_dedup",
         }
 
     def test_progress_callback_sees_everything(self):

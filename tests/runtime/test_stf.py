@@ -1,8 +1,11 @@
 """STF dependency-inference tests: R/W/RW/COMMUTE semantics."""
 
-import pytest
+import copy
 
-from repro.runtime.stf import TaskFlow
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.runtime.stf import Program, TaskFlow, template_key
 from repro.runtime.task import AccessMode
 
 R, W, RW, C = AccessMode.R, AccessMode.W, AccessMode.RW, AccessMode.COMMUTE
@@ -191,3 +194,151 @@ class TestProgram:
         assert b.n_unfinished_preds == 1
         assert h.valid_nodes == {h.home_node}
         assert a.sched == {}
+
+
+# -- structural signature -----------------------------------------------------
+
+_IMPLS = (("cpu",), ("cpu", "cuda"), ("cuda",))
+_INF = float("inf")
+
+
+@st.composite
+def program_specs(draw):
+    """A plain-data description of a small program, buildable repeatedly."""
+    n_handles = draw(st.integers(1, 4))
+    handles = [
+        {"size": draw(st.integers(0, 1 << 16)), "home": draw(st.integers(0, 1))}
+        for _ in range(n_handles)
+    ]
+    tasks = []
+    for _ in range(draw(st.integers(1, 7))):
+        hids = draw(st.lists(
+            st.integers(0, n_handles - 1), min_size=1, max_size=n_handles,
+            unique=True,
+        ))
+        tasks.append({
+            "type_name": draw(st.sampled_from(["gemm", "potrf"])),
+            "flops": draw(st.floats(0.0, 1e9, allow_nan=False)),
+            "implementations": draw(st.sampled_from(_IMPLS)),
+            "priority": draw(st.integers(-3, 3)),
+            "tag": draw(st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(0, 5)))),
+            "resources": draw(st.sampled_from([(), ("lock",)])),
+            "deadline_us": draw(st.sampled_from([_INF, 1e4])),
+            "accesses": [(h, draw(st.sampled_from(list(AccessMode)))) for h in hids],
+        })
+    releases = None
+    if draw(st.booleans()):
+        releases = sorted(draw(st.lists(
+            st.floats(0.0, 1e5, allow_nan=False),
+            min_size=len(tasks), max_size=len(tasks),
+        )))
+    return {"handles": handles, "tasks": tasks, "releases": releases}
+
+
+def build(spec) -> Program:
+    flow = TaskFlow("job")
+    hs = [
+        flow.data(h["size"], label=f"h{i}", home_node=h["home"])
+        for i, h in enumerate(spec["handles"])
+    ]
+    for t in spec["tasks"]:
+        fields = {k: v for k, v in t.items() if k not in ("type_name", "accesses")}
+        flow.submit(t["type_name"], [(hs[h], m) for h, m in t["accesses"]], **fields)
+    program = flow.program()
+    if spec["releases"] is None:
+        return program
+    return Program(program.tasks, program.handles, program.name, spec["releases"])
+
+
+def _toggle_edge(program: Program, i: int, j: int) -> None:
+    """Add the edge j -> i, or remove it when it already exists."""
+    a, b = program.tasks[j], program.tasks[i]
+    if a in b.preds:
+        b.preds.remove(a)
+        a.succs.remove(b)
+    else:
+        b.preds.append(a)
+        a.succs.append(b)
+
+
+_TASK_FIELDS = ("flops", "priority", "implementations", "tag", "resources", "deadline_us", "mode")
+
+
+def perturb(spec, field, i):
+    """A copy of ``spec`` with exactly one ``field`` of entry ``i`` changed."""
+    spec = copy.deepcopy(spec)
+    if field in _TASK_FIELDS:
+        task = spec["tasks"][i % len(spec["tasks"])]
+        if field == "flops":
+            task["flops"] = task["flops"] * 2.0 + 1.0
+        elif field == "priority":
+            task["priority"] += 1
+        elif field == "implementations":
+            task["implementations"] = _IMPLS[(_IMPLS.index(task["implementations"]) + 1) % 3]
+        elif field == "tag":
+            task["tag"] = ("perturbed", i)
+        elif field == "resources":
+            task["resources"] = () if task["resources"] else ("lock",)
+        elif field == "deadline_us":
+            task["deadline_us"] = 1e4 if task["deadline_us"] == _INF else _INF
+        else:
+            h, mode = task["accesses"][0]
+            task["accesses"][0] = (h, AccessMode(mode % 4 + 1))
+    elif field in ("size", "home"):
+        handle = spec["handles"][i % len(spec["handles"])]
+        handle[field] = handle[field] + 1 if field == "size" else 1 - handle[field]
+    else:  # release
+        n = len(spec["tasks"])
+        if spec["releases"] is None:
+            spec["releases"] = [0.0] * n
+        else:
+            spec["releases"][-1] += 1.0
+    return spec
+
+
+class TestSignature:
+    @given(program_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_factory_calls_agree(self, spec):
+        a, b = build(spec), build(spec)
+        assert a.signature() == b.signature()
+        assert hash(a.signature()) == hash(b.signature())
+        assert template_key(a) == template_key(b)
+
+    @given(
+        program_specs(),
+        st.sampled_from(_TASK_FIELDS + ("size", "home", "release")),
+        st.integers(0, 10),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_single_field_change_shows(self, spec, field, i):
+        assert build(perturb(spec, field, i)).signature() != build(spec).signature()
+
+    @given(program_specs(), st.integers(0, 10), st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_any_single_edge_change_shows(self, spec, i, j):
+        base = build(spec)
+        n = len(base.tasks)
+        if n < 2:
+            return
+        i = 1 + i % (n - 1)
+        edited = build(spec)
+        _toggle_edge(edited, i, j % i)
+        assert edited.signature() != base.signature()
+
+    def test_name_is_covered(self):
+        a, b = TaskFlow("a"), TaskFlow("b")
+        for flow in (a, b):
+            flow.submit("t", [(flow.data(8), W)])
+        assert a.program().signature() != b.program().signature()
+
+    @pytest.mark.parametrize("where", ["tag", "key"])
+    def test_unhashable_fields_raise_type_error(self, where):
+        flow = TaskFlow()
+        h = flow.data(8, key=[0, 1] if where == "key" else None)
+        flow.submit("t", [(h, W)], tag={"i": 0} if where == "tag" else None)
+        program = flow.program()
+        with pytest.raises(TypeError):
+            program.signature()
+        # Callers fall back to the program object itself as its key.
+        assert template_key(program) is program

@@ -8,7 +8,7 @@ from repro.check.differential import fingerprint
 from repro.platform.machines import MACHINES
 from repro.runtime.task import Task, TaskState
 from repro.schedulers import make_scheduler
-from repro.schedulers.multiqueue import MultiQueue
+from repro.schedulers.multiqueue import _M64, _PAIR_TABLE, MultiQueue, _pair_table
 from repro.utils.validation import ValidationError
 
 
@@ -117,3 +117,33 @@ class TestUnitHooks:
         arch = next(iter(sched._sizes))
         sched._sizes[arch][0] += 1
         assert any("size cache" in v for v in sched.check())
+
+
+class TestPairTable:
+    @staticmethod
+    def _fresh(seed, k):
+        """The xorshift64 draw loop, written out independently."""
+        rng = ((seed * 0x9E3779B97F4A7C15) ^ 0xBF58476D1CE4E5B9) & _M64 | 1
+        pairs = []
+        for _ in range(_PAIR_TABLE):
+            rng ^= (rng << 13) & _M64
+            rng ^= rng >> 7
+            rng ^= (rng << 17) & _M64
+            pairs.append((rng % k, (rng >> 32) % k))
+        return tuple(pairs)
+
+    @pytest.mark.parametrize("seed,k", [(0, 1), (0, 4), (11, 3), (2**40 + 7, 8)])
+    def test_cached_table_equals_a_fresh_loop(self, seed, k):
+        assert _pair_table(seed, k) == self._fresh(seed, k)
+
+    def test_instances_share_one_table_per_seed_and_k(self):
+        ctx = SimSpec("small-hetero", "multiqueue").simulator().ctx
+        a, b, c = MultiQueue(k=4, seed=5), MultiQueue(k=4, seed=5), MultiQueue(k=4, seed=6)
+        for sched in (a, b, c):
+            sched.setup(ctx)
+        assert a._pairs is b._pairs
+        assert a._pairs != c._pairs
+        hits = _pair_table.cache_info().hits
+        a.setup(ctx)  # a repeated run reuses the table instead of redrawing
+        assert _pair_table.cache_info().hits == hits + 1
+        assert a._pairs is b._pairs
