@@ -4,7 +4,7 @@ Four knobs, each exercised on the workload most sensitive to it:
 
 * **eviction / pop condition** — Cholesky on the Fig. 4 platform;
 * **locality window ε** — the paper's ε = 0.8 vs the tie-only default
-  (see the deviation note in ``repro.core.multiprio``), on Cholesky
+  (see the deviation note in ``repro.schedulers.multiprio``), on Cholesky
   where tile reuse dominates transfers;
 * **criticality (NOD)** — Cholesky, whose diamond DAG rewards releasing
   panel tasks early;
@@ -17,7 +17,7 @@ import pytest
 from benchmarks.conftest import bench_scale
 from repro.apps.dense import cholesky_program
 from repro.apps.fmm import fmm_program
-from repro.core.multiprio import MultiPrio
+from repro.schedulers.multiprio import MultiPrio
 from repro.experiments.reporting import format_table
 from repro.platform.machines import amd_a100, fig4_machine, intel_v100
 from repro.runtime.engine import Simulator

@@ -2,7 +2,7 @@
 
 No paper counterpart — this guards the global tier added above the
 engine: placement, per-node sub-simulations and the cross-node
-dependency fixed point. It measures how fast :func:`simulate_cluster`
+dependency fixed point. It measures how fast ``SimSpec.run_cluster``
 chews through a chained workflow stream (simulated jobs per wall-clock
 second), so a regression in placement costing, fabric routing or the
 release fixed point shows up as a throughput drop.
@@ -20,7 +20,8 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import bench_scale
-from repro.cluster import simulate_cluster, star_cluster
+from repro.api import SimSpec
+from repro.cluster import star_cluster
 from repro.experiments.cluster_scale import (
     cluster_workload,
     format_cluster_experiment,
@@ -39,8 +40,8 @@ def measure_cluster(n_nodes: int, repeats: int = 3) -> dict:
     transfers = 0
     for _ in range(repeats):
         t0 = time.perf_counter()
-        res = simulate_cluster(
-            stream, spec, placement="locality-aware", isolated_baseline=False
+        res = SimSpec(scheduler="multiprio", isolated_baseline=False).run_cluster(
+            stream, spec, placement="locality-aware"
         )
         best = min(best, time.perf_counter() - t0)
         assert len(res.jobs) == len(stream.jobs)
@@ -88,8 +89,8 @@ def test_cluster_throughput(benchmark):
     spec = star_cluster(n_nodes)
 
     def run():
-        res = simulate_cluster(
-            stream, spec, placement="locality-aware", isolated_baseline=False
+        res = SimSpec(scheduler="multiprio", isolated_baseline=False).run_cluster(
+            stream, spec, placement="locality-aware"
         )
         return len(res.jobs)
 

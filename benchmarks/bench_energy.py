@@ -28,9 +28,9 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import bench_scale
-from repro.api import SimConfig, simulate_stream
+from repro.api import SimConfig, SimSpec
 from repro.apps.fmm import fmm_program
-from repro.core.multiprio import MultiPrio
+from repro.schedulers.multiprio import MultiPrio
 from repro.experiments.energy_pareto import energy_workload
 from repro.experiments.reporting import format_table
 from repro.extensions.energy import EnergyAwareMultiPrio, energy_of_result
@@ -47,10 +47,10 @@ def _stream(n_jobs: int, seed: int = 0, rate: float = 300.0):
 
 
 def _run(stream, scheduler: str = "multiprio", **cfg_kwargs):
-    return simulate_stream(
-        stream, "small-hetero", scheduler,
-        isolated_baseline=False, config=SimConfig(**cfg_kwargs),
-    )
+    return SimSpec(
+        "small-hetero", scheduler,
+        config=SimConfig(**cfg_kwargs), isolated_baseline=False,
+    ).run_stream(stream)
 
 
 def measure_metering(n_jobs: int, repeats: int = 3) -> dict:

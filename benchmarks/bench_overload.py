@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import bench_scale
-from repro.api import simulate_stream
+from repro.api import SimSpec
 from repro.control import ControlConfig
 from repro.experiments.overload import (
     format_overload_experiment,
@@ -48,10 +48,9 @@ def measure_overload(n_jobs: int, repeats: int = 3) -> dict:
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            simulate_stream(
-                stream, "small-hetero", "multiprio",
-                isolated_baseline=False, **kwargs,
-            )
+            SimSpec(
+                "small-hetero", "multiprio", isolated_baseline=False, **kwargs
+            ).run_stream(stream)
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -98,10 +97,10 @@ def test_control_gate_throughput(benchmark):
     stream = _stream(n_jobs)
 
     def run():
-        res = simulate_stream(
-            stream, "small-hetero", "multiprio",
-            isolated_baseline=False, control=ControlConfig.unlimited(),
-        )
+        res = SimSpec(
+            "small-hetero", "multiprio",
+            control=ControlConfig.unlimited(), isolated_baseline=False,
+        ).run_stream(stream)
         return res.control.n_completed
 
     assert benchmark(run) == n_jobs

@@ -5,14 +5,14 @@ Demonstrates the public API in ~40 lines:
 
 * declare data handles and submit tasks through the STF front-end
   (dependencies are inferred from the access modes);
-* run everything through :func:`repro.simulate` — one call from
-  (program, machine, scheduler) to a result;
+* run everything through :class:`repro.SimSpec` — one spec of
+  (machine, scheduler, options), one ``run(program)`` call to a result;
 * tune a scheduler via registry parameters (``sched_params``).
 
 Run:  python examples/quickstart.py
 """
 
-from repro import AccessMode, SimConfig, TaskFlow, simulate
+from repro import AccessMode, SimConfig, SimSpec, TaskFlow
 from repro.platform import small_hetero
 from repro.utils.units import time_human
 
@@ -41,7 +41,7 @@ print(f"program: {len(program)} tasks, {program.n_edges} dependency edges")
 
 machine = small_hetero(n_cpus=6, n_gpus=1, gpu_streams=2)
 for scheduler_name in ("multiprio", "dmdas", "eager"):
-    res = simulate(program, machine, scheduler_name, seed=42)
+    res = SimSpec(machine, scheduler_name, seed=42).run(program)
     print(
         f"{scheduler_name:10s} makespan = {time_human(res.makespan):>10}   "
         f"{res.gflops:7.1f} GFlop/s   "
@@ -49,8 +49,8 @@ for scheduler_name in ("multiprio", "dmdas", "eager"):
     )
 
 # Registry names identify scheduler *families*: sched_params selects a
-# member. A SimConfig bundles options for reuse across calls.
+# member. A SimConfig bundles options for reuse across specs.
 cfg = SimConfig(seed=42, sched_params={"locality_n": 5, "locality_eps": 0.1})
-res = simulate(program, machine, "multiprio", config=cfg)
+res = SimSpec(machine, "multiprio", config=cfg).run(program)
 print(f"multiprio (top-5 locality window, eps=0.1): "
       f"makespan = {time_human(res.makespan)}")

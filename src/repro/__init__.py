@@ -3,32 +3,33 @@ Priorities on Heterogeneous Computing Systems* (MultiPrio, IPPS 2024).
 
 Public API quick tour::
 
-    from repro import simulate
+    from repro import SimSpec
     from repro.platform import small_hetero
     from repro.apps.dense import cholesky_program
 
     machine = small_hetero(n_cpus=6, n_gpus=1)
     program = cholesky_program(n_tiles=10, tile_size=512)
-    result = simulate(program, machine, "multiprio")
+    result = SimSpec(machine, "multiprio").run(program)
     print(result.makespan, result.gflops)
 
-:func:`simulate` is the one-call facade; the underlying pieces
+:class:`SimSpec` is the one facade: :meth:`~SimSpec.run` for a task
+graph, :meth:`~SimSpec.run_stream` for a job stream and
+:meth:`~SimSpec.run_cluster` for a cluster. The underlying pieces
 (:class:`Simulator`, :class:`MultiPrio`, the perf models, the
 scheduler registry) remain public for fine-grained control.
 
 Subpackages:
 
-* :mod:`repro.core` — MultiPrio and its heuristics (the contribution);
+* :mod:`repro.core` — MultiPrio's heuristics (the contribution);
 * :mod:`repro.runtime` — the StarPU-like simulated runtime substrate;
 * :mod:`repro.schedulers` — baseline policies (dmdas, heteroprio, ...);
 * :mod:`repro.apps` — dense LA / FMM / sparse-QR task-graph generators;
 * :mod:`repro.platform` — the Intel-V100 and AMD-A100 machine models;
-* :mod:`repro.workload` — online multi-tenant job streams
-  (:func:`simulate_stream` is their facade);
+* :mod:`repro.workload` — online multi-tenant job streams;
 * :mod:`repro.control` — the overload control plane: per-tenant
   quotas, admission (accept / delay / shed), priority-class eviction;
 * :mod:`repro.cluster` — multi-node platforms and the two-level
-  hierarchical scheduler (:func:`simulate_cluster` is their facade);
+  hierarchical scheduler;
 * :mod:`repro.experiments` — one harness per paper table/figure.
 """
 
@@ -55,7 +56,7 @@ from repro.runtime import (
 )
 from repro.schedulers import MultiPrio
 from repro.schedulers import make_scheduler, scheduler_names, register_scheduler
-from repro.api import SimConfig, SimSpec, simulate, simulate_stream
+from repro.api import SimConfig, SimSpec
 from repro.workload import (
     QOS_CLASSES,
     Job,
@@ -109,8 +110,6 @@ __all__ = [
     "make_scheduler",
     "scheduler_names",
     "register_scheduler",
-    "simulate",
-    "simulate_stream",
     "SimConfig",
     "SimSpec",
     "Job",

@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle:
-    # harness -> api -> workload -> stats -> harness)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.harness import ExperimentResult
 
 

@@ -21,19 +21,15 @@ The same spec drives the online path (and the cluster tier via
                                           rate_jobs_per_s=20.0, n_jobs=8))
     print(sres.mean_latency_us, sres.fairness)
 
-The historical entry points — :func:`simulate`, :func:`simulate_stream`
-and :func:`repro.cluster.simulate_cluster` — remain as thin wrappers
-over ``SimSpec`` and produce bit-identical results; passing engine
-options to them as loose keywords is deprecated (build a ``SimSpec``
-instead). :class:`SimConfig` is the per-run knob bundle ``SimSpec``
-embeds; it stays fully supported.
+:class:`SimConfig` is the per-run knob bundle ``SimSpec`` embeds;
+``SimSpec``'s single-field keywords (``seed=``, ``batch_step=``, ...)
+are shorthands that fold into it.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Hashable
 
 from repro.obs.events import RecordLevel
 from repro.platform.machines import MACHINES, MachineModel
@@ -56,10 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.perfmodel import PerfModel
     from repro.workload.results import StreamResult
     from repro.workload.stream import JobStream
-
-#: Sentinel distinguishing "keyword not passed" from an explicit default
-#: in the deprecated loose-keyword wrappers.
-_UNSET: Any = object()
 
 #: Coarse draw charged to architectures the power model does not cover
 #: when attributing per-job energy (an explicit opt-in — the model
@@ -173,6 +165,8 @@ class SimSpec:
         The embedded :class:`SimConfig`. The remaining keywords are
         conveniences that override single fields of it: ``SimSpec(m, s,
         seed=3)`` equals ``SimSpec(m, s, config=SimConfig(seed=3))``.
+        They are folded in at construction and then read ``None``; the
+        effective values live in ``config``.
     control:
         Optional :class:`~repro.control.ControlConfig` admission control
         plane, applied by the stream and cluster paths.
@@ -187,7 +181,7 @@ class SimSpec:
     config: SimConfig = field(default_factory=SimConfig)
     control: "ControlConfig | None" = None
     isolated_baseline: bool = True
-    # Single-field conveniences folded into `config` after init.
+    # Single-field conveniences: folded into `config`, then reset to None.
     seed: "int | None" = None
     noise_sigma: "float | None" = None
     perfmodel: "PerfModel | None" = None
@@ -205,31 +199,17 @@ class SimSpec:
     sched_params: "dict | None" = None
 
     def __post_init__(self) -> None:
-        overrides = {
-            name: value
-            for name in (
-                "seed", "noise_sigma", "perfmodel", "faults", "record_trace",
-                "record_level", "pipeline", "submission_window",
-                "check_invariants", "batch_step", "batch_drain_on_idle",
-                "overhead", "resources", "power",
-            )
-            if (value := getattr(self, name)) is not None
-        }
-        if self.sched_params is not None:
-            overrides["sched_params"] = dict(self.sched_params)
+        # Fold the conveniences into `config` once and clear them, so
+        # `config` alone holds the effective values and
+        # `dataclasses.replace(spec, config=...)` keeps the new config.
+        overrides = {}
+        for f in fields(SimConfig):
+            value = getattr(self, f.name)
+            if value is not None:
+                overrides[f.name] = dict(value) if f.name == "sched_params" else value
+                setattr(self, f.name, None)
         if overrides:
-            from dataclasses import replace
-
             self.config = replace(self.config, **overrides)
-        # The conveniences have been folded in; mirror the config back so
-        # `spec.seed` etc. always read the effective values.
-        for f in (
-            "seed", "noise_sigma", "perfmodel", "faults", "record_trace",
-            "record_level", "pipeline", "submission_window",
-            "check_invariants", "batch_step", "batch_drain_on_idle",
-            "overhead", "resources", "power", "sched_params",
-        ):
-            setattr(self, f, getattr(self.config, f))
 
     # -- internals -------------------------------------------------------
 
@@ -396,108 +376,3 @@ class SimSpec:
             isolated_baseline=self.isolated_baseline,
             **cluster_options,
         )
-
-
-def _legacy_config(
-    where: str, config: SimConfig | None, passed: dict
-) -> SimConfig:
-    """Fold deprecated loose keywords into a :class:`SimConfig`."""
-    explicit = {k: v for k, v in passed.items() if v is not _UNSET}
-    if explicit:
-        warnings.warn(
-            f"passing engine options to {where} as loose keywords "
-            f"({', '.join(sorted(explicit))}) is deprecated; build a "
-            "SimSpec (or a SimConfig) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if config is not None:
-        return config  # the config bundle takes precedence, as documented
-    if "sched_params" in explicit:
-        explicit["sched_params"] = dict(explicit["sched_params"] or {})
-    return SimConfig(**explicit)
-
-
-def simulate(
-    program: Program,
-    machine: MachineModel | str,
-    scheduler: Scheduler | str = "multiprio",
-    *,
-    config: SimConfig | None = None,
-    seed: int = _UNSET,
-    noise_sigma: float = _UNSET,
-    perfmodel: "PerfModel | None" = _UNSET,
-    faults: FaultModel | None = _UNSET,
-    record_trace: bool = _UNSET,
-    record_level: RecordLevel | str | int = _UNSET,
-    pipeline: bool = _UNSET,
-    submission_window: int | None = _UNSET,
-    check_invariants: bool | None = _UNSET,
-    batch_step: float | None = _UNSET,
-    batch_drain_on_idle: bool = _UNSET,
-    sched_params: dict | None = _UNSET,
-) -> SimResult:
-    """Simulate ``program`` on ``machine`` under ``scheduler``.
-
-    A thin wrapper over ``SimSpec(machine, scheduler, config).run(program)``
-    — bit-identical to it. Passing the engine options as loose keywords
-    is **deprecated**; bundle them in a :class:`SimSpec` or
-    :class:`SimConfig` instead. ``simulate(program, machine, scheduler)``
-    and the ``config=`` form stay warning-free.
-
-    Returns the engine's :class:`~repro.runtime.engine.SimResult`.
-    """
-    cfg = _legacy_config("simulate()", config, dict(
-        seed=seed, noise_sigma=noise_sigma, perfmodel=perfmodel,
-        faults=faults, record_trace=record_trace, record_level=record_level,
-        pipeline=pipeline, submission_window=submission_window,
-        check_invariants=check_invariants, batch_step=batch_step,
-        batch_drain_on_idle=batch_drain_on_idle, sched_params=sched_params,
-    ))
-    return SimSpec(machine, scheduler, config=cfg).run(program)
-
-
-def simulate_stream(
-    stream: "JobStream",
-    machine: MachineModel | str,
-    scheduler: Scheduler | str = "multiprio",
-    *,
-    config: SimConfig | None = None,
-    isolated_baseline: bool = True,
-    control: "ControlConfig | None" = None,
-    seed: int = _UNSET,
-    noise_sigma: float = _UNSET,
-    perfmodel: "PerfModel | None" = _UNSET,
-    faults: FaultModel | None = _UNSET,
-    record_trace: bool = _UNSET,
-    record_level: RecordLevel | str | int = _UNSET,
-    pipeline: bool = _UNSET,
-    submission_window: int | None = _UNSET,
-    check_invariants: bool | None = _UNSET,
-    batch_step: float | None = _UNSET,
-    batch_drain_on_idle: bool = _UNSET,
-    sched_params: dict | None = _UNSET,
-) -> "StreamResult":
-    """Simulate an online job stream on ``machine`` under ``scheduler``.
-
-    A thin wrapper over :meth:`SimSpec.run_stream` — bit-identical to
-    it. Passing engine options as loose keywords is **deprecated**
-    (build a :class:`SimSpec`); ``config=``, ``isolated_baseline=`` and
-    ``control=`` stay warning-free.
-
-    Returns a :class:`~repro.workload.results.StreamResult`.
-    """
-    cfg = _legacy_config("simulate_stream()", config, dict(
-        seed=seed, noise_sigma=noise_sigma, perfmodel=perfmodel,
-        faults=faults, record_trace=record_trace, record_level=record_level,
-        pipeline=pipeline, submission_window=submission_window,
-        check_invariants=check_invariants, batch_step=batch_step,
-        batch_drain_on_idle=batch_drain_on_idle, sched_params=sched_params,
-    ))
-    return SimSpec(
-        machine,
-        scheduler,
-        config=cfg,
-        control=control,
-        isolated_baseline=isolated_baseline,
-    ).run_stream(stream)

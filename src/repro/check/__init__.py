@@ -16,7 +16,7 @@ Two halves:
   driven by the ``repro check`` CLI subcommand and ``tests/check/``;
 * :mod:`repro.check.cluster` — global-tier audits of whole cluster runs
   (placement totality, gauge conservation, fabric byte accounting),
-  applied by :func:`~repro.cluster.sim.simulate_cluster` when invariant
+  applied by :meth:`~repro.api.SimSpec.run_cluster` when invariant
   checking is on.
 """
 
@@ -26,7 +26,7 @@ __all__ = ["InvariantChecker", "check_cluster", "run_differential_suite"]
 
 
 def __getattr__(name: str) -> Any:
-    # Lazy re-exports: differential imports the simulate() facade, which
+    # Lazy re-exports: differential imports the SimSpec facade, which
     # imports the engine — eager imports here would create a cycle with
     # the engine's own (deferred) import of InvariantChecker.
     if name == "InvariantChecker":

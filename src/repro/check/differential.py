@@ -25,7 +25,7 @@ properties a correct simulator cannot violate regardless of policy:
 * **Control-plane no-op equivalence** — a control plane with infinite
   credits, no global budget and eviction off
   (:meth:`~repro.control.ControlConfig.unlimited`) admits everything
-  and must reproduce the uncontrolled ``simulate_stream`` run
+  and must reproduce the uncontrolled ``SimSpec.run_stream`` run
   bit-for-bit (the admission gate may not perturb reveal order, events
   or accounting).
 * **Real-time no-op equivalence** — an all-zero
@@ -582,7 +582,7 @@ def check_cluster_single_node_equivalence(
     machine: MachineModel,
     schedulers: Iterable[str],
 ) -> list[CheckOutcome]:
-    """A single-node cluster must be :func:`simulate_stream`, bit for bit.
+    """A single-node cluster must be :meth:`SimSpec.run_stream`, bit for bit.
 
     The cluster tier degenerates when there is one node: placement has
     one choice, no ``after`` edge can cross nodes, and the node's
@@ -593,7 +593,6 @@ def check_cluster_single_node_equivalence(
     path perturbed the engine configuration or the merged program.
     """
     from repro.api import SimConfig, SimSpec
-    from repro.cluster.sim import simulate_cluster
     from repro.cluster.spec import star_cluster
     from repro.workload.stream import poisson_stream
 
@@ -614,8 +613,8 @@ def check_cluster_single_node_equivalence(
             (r.tid, r.worker, r.start, r.end)
             for r in plain.sim.trace.task_records
         ))
-        clustered = simulate_cluster(
-            stream, star_cluster(1, machine), scheduler
+        clustered = SimSpec(scheduler=scheduler).run_cluster(
+            stream, star_cluster(1, machine)
         )
         node_sim = clustered.node_sims["node0"]
         cluster_records = clustered._task_records["node0"]  # type: ignore[attr-defined]
@@ -623,7 +622,7 @@ def check_cluster_single_node_equivalence(
             f"cluster.single_node[{scheduler}]",
             (plain_records, plain.sim.makespan, plain.sim.bytes_transferred)
             == (cluster_records, node_sim.makespan, node_sim.bytes_transferred),
-            "a 1-node cluster diverged from simulate_stream at task level",
+            "a 1-node cluster diverged from run_stream at task level",
         ))
         plain_jobs = [
             (j.jid, j.start_us, j.end_us, j.isolated_us) for j in plain.jobs
@@ -635,7 +634,7 @@ def check_cluster_single_node_equivalence(
             f"cluster.single_node_jobs[{scheduler}]",
             plain_jobs == cluster_jobs,
             "a 1-node cluster reported different per-job results than "
-            "simulate_stream",
+            "run_stream",
         ))
     return out
 
@@ -658,7 +657,6 @@ def check_stream_baseline_dedup(
       the baseline of its own node's machine.
     """
     from repro.api import SimSpec
-    from repro.cluster.sim import simulate_cluster
     from repro.cluster.spec import ClusterNodeSpec, ClusterSpec, InterLinkSpec
     from repro.experiments.cluster_scale import cluster_workload
     from repro.platform.machines import small_hetero
@@ -706,8 +704,8 @@ def check_stream_baseline_dedup(
 
         chains = cluster_workload(n_chains=4, chain_len=2, seed=2)
         # Round-robin lands both job shapes on both machine models.
-        clustered = simulate_cluster(
-            chains, cluster, scheduler, placement="round-robin"
+        clustered = SimSpec(scheduler=scheduler).run_cluster(
+            chains, cluster, placement="round-robin"
         )
         program_of = {job.jid: job.program for job in chains.jobs}
         machine_of = {node.name: node.machine for node in nodes}

@@ -5,14 +5,16 @@ subsystem composes many such nodes into a *cluster* joined by a network
 fabric and adds a global placement tier above the unchanged per-node
 scheduler — the Firmament-style architecture::
 
-    from repro.cluster import simulate_cluster, star_cluster
+    from repro import SimSpec
+    from repro.cluster import star_cluster
     from repro.workload import poisson_stream
     from repro.apps.dense import cholesky_program
 
-    spec = star_cluster(8, "small-hetero")
+    cluster = star_cluster(8, "small-hetero")
     stream = poisson_stream([lambda: cholesky_program(6, 512)],
                             rate_jobs_per_s=40.0, n_jobs=32)
-    res = simulate_cluster(stream, spec, placement="locality-aware")
+    res = SimSpec(scheduler="multiprio").run_cluster(
+        stream, cluster, placement="locality-aware")
     print(res.makespan_us, res.mean_utilization, res.imbalance)
 
 Pieces:
@@ -25,9 +27,10 @@ Pieces:
 * :mod:`repro.cluster.placement` — the global scheduler tier and its
   policy registry (``pack`` / ``round-robin`` / ``random`` /
   ``load-aware`` / ``locality-aware``);
-* :mod:`repro.cluster.sim` — the :func:`simulate_cluster` facade:
-  global admission, placement, sharded per-node engines, and the
-  cross-node dependency fixed point;
+* :mod:`repro.cluster.sim` — :func:`simulate_cluster`, the engine
+  behind :meth:`~repro.api.SimSpec.run_cluster`: global admission,
+  placement, sharded per-node engines, and the cross-node dependency
+  fixed point;
 * :mod:`repro.cluster.result` — per-node utilization/imbalance plus
   the standard per-job stream metrics.
 """

@@ -8,7 +8,7 @@ and three priority classes (``guaranteed`` / ``burstable`` /
 ``best-effort``) decide who is protected, who backs off, and whose
 unstarted work is evicted when a guaranteed job needs room. Outcomes
 surface as :class:`ControlResult` on
-:func:`repro.api.simulate_stream`'s stream result and as
+:meth:`repro.api.SimSpec.run_stream`'s stream result and as
 ``repro.obs`` job events.
 
 With :meth:`ControlConfig.unlimited` the whole subsystem is a

@@ -2,7 +2,7 @@
 
 :class:`ControlResult` is attached to
 :class:`~repro.workload.results.StreamResult` by
-:func:`repro.api.simulate_stream` when a control plane was active. It
+:meth:`repro.api.SimSpec.run_stream` when a control plane was active. It
 carries one typed :class:`JobOutcome` per job of the stream — completed,
 rejected (shed) or evicted — plus rollups: p99 slowdown, SLO
 (deadline-proxy) miss rate, rejection and eviction rates, per tenant

@@ -1,4 +1,4 @@
-"""The paper's contribution: the MultiPrio scheduler and its heuristics.
+"""The paper's contribution: the heuristics the MultiPrio scheduler composes.
 
 * :mod:`repro.core.heap` — per-memory-node binary max-heaps with two-key
   scores, position-tracked removal (for eviction) and lazy invalidation
@@ -8,9 +8,7 @@
 * :mod:`repro.core.locality` — the LS_SDH² locality score, Eq. (3).
 The scheduler itself — Alg. 1 (PUSH), Alg. 2 (POP), the pop condition
 and the eviction mechanism — lives with the other policies in
-:mod:`repro.schedulers.multiprio`; ``repro.core.MultiPrio`` and the
-:mod:`repro.core.multiprio` module remain as import shims (resolved
-lazily to avoid a cycle through :mod:`repro.schedulers`).
+:mod:`repro.schedulers.multiprio`.
 """
 
 from repro.core.heap import TaskHeap, HeapEntry, RelaxedTaskHeap
@@ -28,14 +26,4 @@ __all__ = [
     "nod",
     "NODTracker",
     "ls_sdh2",
-    "MultiPrio",
 ]
-
-
-def __getattr__(name: str):
-    """Back-compat: ``repro.core.MultiPrio`` after the move (lazy)."""
-    if name == "MultiPrio":
-        from repro.schedulers.multiprio import MultiPrio
-
-        return MultiPrio
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.apps.dense import cholesky_program, lu_program
-from repro.cluster.sim import simulate_cluster
+from repro.api import SimSpec
 from repro.cluster.spec import ClusterSpec, fat_tree_cluster, star_cluster
 from repro.experiments.reporting import format_table
 from repro.sweep import CallSpec, run_tasks
@@ -148,13 +148,9 @@ def _cluster_cell(
         n_chains=n_chains, chain_len=chain_len, rate_chains_per_s=rate,
         n_tiles=n_tiles, tile_size=tile_size, seed=seed,
     )
-    res = simulate_cluster(
-        stream,
-        _make_cluster(topology, n_nodes, machine),
-        scheduler,
-        placement=policy,
-        check_invariants=check_invariants or None,
-    )
+    res = SimSpec(
+        scheduler=scheduler, check_invariants=check_invariants or None
+    ).run_cluster(stream, _make_cluster(topology, n_nodes, machine), placement=policy)
     return ClusterRow(
         policy=policy,
         n_nodes=n_nodes,

@@ -20,11 +20,12 @@ Three pieces:
   advantage guard still holds. The effect — measured by
   ``benchmarks/bench_energy.py`` — is a lower joule count at a bounded
   makespan cost;
-* :class:`EdpMultiPrio` (registered ``multiprio-edp``), the same
-  relaxation scored on the energy-delay product δ²·P instead of plain
-  energy δ·P: it only sheds work to lean units when the energy saved
-  outweighs the quadratically-penalized slowdown, trading fewer joules
-  of savings for a tighter makespan than ``multiprio-energy``.
+* ``EnergyAwareMultiPrio(objective="edp")`` (registered
+  ``multiprio-edp``), the same relaxation scored on the energy-delay
+  product δ²·P instead of plain energy δ·P: it only sheds work to lean
+  units when the energy saved outweighs the quadratically-penalized
+  slowdown, trading fewer joules of savings for a tighter makespan than
+  ``multiprio-energy``.
 
 For engine-level power states, node caps and native joule reporting see
 :mod:`repro.runtime.power` (``SimConfig(power=...)``).
@@ -45,7 +46,6 @@ __all__ = [
     "PowerModel",
     "energy_of_result",
     "EnergyAwareMultiPrio",
-    "EdpMultiPrio",
 ]
 
 
@@ -98,31 +98,31 @@ class EnergyAwareMultiPrio(MultiPrio):
     :class:`~repro.schedulers.multiprio.MultiPrio` (a neutral power
     model — equal watts everywhere — is bit-identical to the base
     scheduler; ``tests/extensions/test_energy.py`` pins this).
+
+    ``objective`` selects the comparison: ``"energy"`` compares δ·P,
+    ``"edp"`` the energy-delay product δ²·P, which penalizes a lean
+    worker's extra delay quadratically so work only shifts off the
+    accelerators when the joules saved are worth the slowdown. The
+    scheduler's ``name`` is ``multiprio-<objective>``, its registry name.
     """
-
-    name = "multiprio-energy"
-
-    #: Admission objective: ``"energy"`` compares δ·P, ``"edp"``
-    #: compares the energy-delay product δ²·P.
-    objective = "energy"
 
     def __init__(
         self,
         *,
         power: PowerModel | None = None,
         energy_relax: float = 0.25,
-        objective: str | None = None,
+        objective: str = "energy",
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
+        if objective not in ("energy", "edp"):
+            raise ValidationError(
+                f"objective must be 'energy' or 'edp', got {objective!r}"
+            )
         self.power = power or PowerModel()
         self.energy_relax = check_positive("energy_relax", energy_relax)
-        if objective is not None:
-            if objective not in ("energy", "edp"):
-                raise ValidationError(
-                    f"objective must be 'energy' or 'edp', got {objective!r}"
-                )
-            self.objective = objective
+        self.objective = objective
+        self.name = f"multiprio-{objective}"
 
     def _energy_saving(self, task: Task, worker: Worker, best_arch: str) -> bool:
         """Whether running on ``worker`` beats the best arch on the
@@ -155,17 +155,3 @@ class EnergyAwareMultiPrio(MultiPrio):
         if not self._energy_saving(task, worker, self.ctx.best_arch(task)):
             return False, brw, delta
         return brw > self.energy_relax * self.brw_safety * delta, brw, delta
-
-
-class EdpMultiPrio(EnergyAwareMultiPrio):
-    """Energy-delay-product scoring as a MultiPrio mode.
-
-    Identical machinery to :class:`EnergyAwareMultiPrio`, but the
-    relaxation fires only when the *energy-delay product* δ²·P improves:
-    the extra delay of a lean worker is penalized quadratically, so work
-    only shifts off the accelerators when the joules saved are worth the
-    slowdown. Registered as ``multiprio-edp``.
-    """
-
-    name = "multiprio-edp"
-    objective = "edp"

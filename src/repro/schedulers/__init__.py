@@ -4,8 +4,7 @@ compared to.
 All policies implement :class:`repro.schedulers.base.Scheduler` and are
 interchangeable in the simulator. MultiPrio (the paper's contribution)
 lives in :mod:`repro.schedulers.multiprio` and is registered under
-``"multiprio"``; the historical ``repro.core.multiprio`` import path is
-kept as a shim.
+``"multiprio"``; the heuristics it composes live in :mod:`repro.core`.
 """
 
 from repro.schedulers.base import Scheduler

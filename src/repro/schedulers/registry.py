@@ -61,10 +61,14 @@ _FACTORIES: dict[str, Callable[..., Scheduler]] = {
 def _register_extensions() -> None:
     """Extension schedulers live outside the core package; import them
     lazily so the registry module has no hard dependency on them."""
-    from repro.extensions.energy import EdpMultiPrio, EnergyAwareMultiPrio
+    from repro.extensions.energy import EnergyAwareMultiPrio
 
     _FACTORIES.setdefault("multiprio-energy", EnergyAwareMultiPrio)
-    _FACTORIES.setdefault("multiprio-edp", EdpMultiPrio)
+    # Energy-delay-product variant (pass `objective=` to override).
+    _FACTORIES.setdefault(
+        "multiprio-edp",
+        lambda **kw: EnergyAwareMultiPrio(**{"objective": "edp", **kw}),
+    )
 
 
 _register_extensions()

@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.api import simulate
+from repro.api import SimSpec
 from repro.experiments.harness import ExperimentResult
 from repro.platform.machines import MachineModel
 from repro.utils.validation import ReproError, RetryExhaustedError
@@ -217,8 +217,7 @@ class SweepCell:
 def _run_cell(cell: SweepCell, experiment: str) -> ExperimentResult:
     """Simulate one sweep cell (in whichever process executes it)."""
     program = cell.program.build()
-    res = simulate(
-        program,
+    res = SimSpec(
         cell.machine,
         cell.scheduler,
         seed=cell.seed,
@@ -226,7 +225,7 @@ def _run_cell(cell: SweepCell, experiment: str) -> ExperimentResult:
         perfmodel=cell.perfmodel.build() if cell.perfmodel is not None else None,
         faults=cell.faults.build() if cell.faults is not None else None,
         sched_params=cell.sched_params,
-    )
+    ).run(program)
     extra = dict(cell.extra)
     if res.faults is not None:
         for key, value in res.faults.as_dict().items():

@@ -7,7 +7,7 @@ import pytest
 from repro.apps.dense import cholesky_program
 from repro.apps.fmm import fmm_program
 from repro.check.differential import fingerprint
-from repro.core.multiprio import MultiPrio
+from repro.schedulers.multiprio import MultiPrio
 from repro.obs.events import InvariantViolation
 from repro.platform.machines import small_hetero
 from repro.runtime.engine import SchedContext, Simulator
@@ -313,12 +313,11 @@ class TestActivation:
         assert sim.check_invariants is False
 
     def test_simulate_facade_accepts_flag(self):
-        from repro.api import simulate
+        from repro.api import SimSpec
 
-        res = simulate(
-            cholesky_program(4, 384), "small-hetero", "multiprio",
-            check_invariants=True,
-        )
+        res = SimSpec(
+            "small-hetero", "multiprio", check_invariants=True
+        ).run(cholesky_program(4, 384))
         assert res.makespan > 0
 
 

@@ -1,4 +1,4 @@
-"""End-to-end control-plane runs through simulate_stream().
+"""End-to-end control-plane runs through SimSpec.run_stream().
 
 Covers the issue's acceptance criteria: a no-op control plane is
 bit-identical to an uncontrolled run, overload sheds only lower
@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from repro.api import simulate_stream
+from repro.api import SimSpec
 from repro.apps.dense import cholesky_program
 from repro.check.differential import fingerprint
 from repro.control.plane import ControlConfig, default_overload_config
@@ -54,24 +54,24 @@ def overloaded_run(multiplier=4.0, n_tenants=6, n_jobs=24, seed=3, **kwargs):
         job_cost_us=job_cost,
         max_inflight_jobs=2.0 * n_workers,
     )
-    return simulate_stream(
-        stream, machine, "multiprio", control=control,
-        isolated_baseline=False, **kwargs,
-    )
+    return SimSpec(
+        machine, "multiprio", control=control, isolated_baseline=False,
+        **kwargs,
+    ).run_stream(stream)
 
 
 class TestNoopBitIdentity:
     @pytest.mark.parametrize("scheduler", ["multiprio", "dmdas"])
     def test_unlimited_control_is_bit_identical(self, scheduler):
         stream = mixed_stream()
-        plain = simulate_stream(
-            stream, "small-hetero", scheduler,
+        plain = SimSpec(
+            "small-hetero", scheduler, isolated_baseline=False,
+            record_trace=True,
+        ).run_stream(stream)
+        controlled = SimSpec(
+            "small-hetero", scheduler, control=ControlConfig.unlimited(),
             isolated_baseline=False, record_trace=True,
-        )
-        controlled = simulate_stream(
-            stream, "small-hetero", scheduler, control=ControlConfig.unlimited(),
-            isolated_baseline=False, record_trace=True,
-        )
+        ).run_stream(stream)
         assert fingerprint(plain.sim) == fingerprint(controlled.sim)
         ledger = controlled.control
         assert ledger is not None
@@ -135,10 +135,10 @@ class TestDegenerateStreams:
         control = ControlConfig(
             default_quota=TenantQuota(rate=0.0, burst=1e-6)
         )
-        sres = simulate_stream(
-            stream, "small-hetero", "multiprio", control=control,
+        sres = SimSpec(
+            "small-hetero", "multiprio", control=control,
             isolated_baseline=False, check_invariants=True,
-        )
+        ).run_stream(stream)
         ledger = sres.control
         assert ledger.n_rejected == 4 and ledger.n_completed == 0
         assert list(sres.jobs) == []
@@ -164,10 +164,10 @@ class TestDegenerateStreams:
         control = ControlConfig(
             quotas={"be": TenantQuota(rate=0.0, burst=1e-6)}
         )
-        sres = simulate_stream(
-            JobStream(name="chain", jobs=jobs), "small-hetero", "multiprio",
-            control=control, isolated_baseline=False, check_invariants=True,
-        )
+        sres = SimSpec(
+            "small-hetero", "multiprio", control=control,
+            isolated_baseline=False, check_invariants=True,
+        ).run_stream(JobStream(name="chain", jobs=jobs))
         ledger = sres.control
         by_jid = {o.jid: o for o in ledger.outcomes}
         assert by_jid[0].status == "rejected"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.validation import check_schedule
-from repro.core.multiprio import MultiPrio
+from repro.schedulers.multiprio import MultiPrio
 from repro.runtime.engine import SchedContext, Simulator
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import TaskFlow

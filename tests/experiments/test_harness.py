@@ -1,29 +1,41 @@
-"""Experiment harness and reporting tests."""
+"""Experiment result rows (built by sweeps) and reporting tests."""
 
 import pytest
 
-from repro.experiments.harness import run_grid, run_one, speedup_table
+from repro.api import SimSpec
+from repro.experiments.harness import speedup_table
 from repro.experiments.reporting import format_series, format_table
 from repro.platform.machines import small_hetero
+from repro.sweep import CallSpec, SweepSpec, run_sweep
 from tests.conftest import make_fork_join_program
+
+
+def sweep_rows(schedulers, experiment="t", **grid):
+    return run_sweep(SweepSpec.grid(
+        experiment,
+        machines=[small_hetero(n_cpus=2, n_gpus=1)],
+        schedulers=schedulers,
+        **grid,
+    ))
 
 
 @pytest.fixture(scope="module")
 def grid_rows():
-    program = make_fork_join_program(width=8, flops=5e7)
-    machine = small_hetero(n_cpus=2, n_gpus=1)
-    return run_grid(
-        [program], [machine], ["eager", "dmdas", "multiprio"], experiment="t"
+    return sweep_rows(
+        ["eager", "dmdas", "multiprio"],
+        programs=[CallSpec(make_fork_join_program, kwargs={"width": 8, "flops": 5e7})],
     )
 
 
 class TestHarness:
-    def test_run_one_returns_row_and_simresult(self):
-        program = make_fork_join_program(width=4)
+    def test_sweep_row_matches_simspec_run(self):
         machine = small_hetero(n_cpus=2, n_gpus=1)
-        row, res = run_one(program, machine, "eager", experiment="x", seed=1)
-        assert row.scheduler == "eager"
-        assert row.machine == machine.name
+        (row,) = sweep_rows(
+            ["eager"], experiment="x", seeds=[1],
+            programs=[CallSpec(make_fork_join_program, kwargs={"width": 4})],
+        )
+        res = SimSpec(machine, "eager", seed=1).run(make_fork_join_program(width=4))
+        assert (row.experiment, row.scheduler, row.machine) == ("x", "eager", machine.name)
         assert row.makespan_us == res.makespan > 0
 
     def test_grid_covers_cartesian_product(self, grid_rows):
@@ -40,11 +52,14 @@ class TestHarness:
         assert speedup_table(grid_rows, reference="nonexistent") == {}
 
     def test_determinism_across_calls(self):
-        program = make_fork_join_program(width=6)
-        machine = small_hetero(n_cpus=2, n_gpus=1)
-        row1, _ = run_one(program, machine, "multiprio", seed=5, noise_sigma=0.2)
-        row2, _ = run_one(program, machine, "multiprio", seed=5, noise_sigma=0.2)
-        assert row1.makespan_us == row2.makespan_us
+        def once():
+            (row,) = sweep_rows(
+                ["multiprio"], seeds=[5], noise_sigma=0.2,
+                programs=[CallSpec(make_fork_join_program, kwargs={"width": 6})],
+            )
+            return row.makespan_us
+
+        assert once() == once()
 
 
 class TestReporting:

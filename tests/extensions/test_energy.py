@@ -6,7 +6,6 @@ from repro.analysis.validation import check_schedule
 from repro.check.differential import fingerprint
 from repro.extensions.energy import (
     ArchPower,
-    EdpMultiPrio,
     EnergyAwareMultiPrio,
     PowerModel,
     energy_of_result,
@@ -121,15 +120,16 @@ class TestEnergyOfResult:
 
 class TestEnergyAwareScheduler:
     def test_is_feasible(self, hetero_machine):
-        program = make_fork_join_program(width=16, flops=5e8)
-        sim = Simulator(
-            hetero_machine.platform(),
-            EnergyAwareMultiPrio(),
-            AnalyticalPerfModel(hetero_machine.calibration()),
-            seed=0,
-        )
-        res = sim.run(program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        for name in ("multiprio-energy", "multiprio-edp"):
+            program = make_fork_join_program(width=16, flops=5e8)
+            sim = Simulator(
+                hetero_machine.platform(),
+                make_scheduler(name),
+                AnalyticalPerfModel(hetero_machine.calibration()),
+                seed=0,
+            )
+            res = sim.run(program)
+            check_schedule(program, res.trace, sim.platform.workers)
 
     def test_shifts_work_toward_cpus(self, hetero_machine):
         """The relaxation must increase (or keep) the CPU share vs the
@@ -144,8 +144,9 @@ class TestEnergyAwareScheduler:
             return res.exec_time_by_arch.get("cpu", 0.0) / total, res
 
         base_share, base_res = cpu_share(make_scheduler("multiprio"))
-        energy_share, energy_res = cpu_share(EnergyAwareMultiPrio())
-        assert energy_share >= base_share
+        for name in ("multiprio-energy", "multiprio-edp"):
+            energy_share, energy_res = cpu_share(make_scheduler(name))
+            assert energy_share >= base_share
 
     def test_registry_name(self):
         assert EnergyAwareMultiPrio().name == "multiprio-energy"
@@ -159,9 +160,9 @@ class TestEnergyAwareScheduler:
         with pytest.raises(Exception):
             EnergyAwareMultiPrio(objective="latency")
 
-    @pytest.mark.parametrize("cls", [EnergyAwareMultiPrio, EdpMultiPrio])
+    @pytest.mark.parametrize("name", ["multiprio-energy", "multiprio-edp"])
     def test_neutral_watts_is_bit_identical_to_multiprio(
-        self, hetero_machine, cls
+        self, hetero_machine, name
     ):
         """Differential pin: with equal watts everywhere the relaxation
         can never fire (a slower worker never wins δ·P or δ²·P), so the
@@ -182,17 +183,34 @@ class TestEnergyAwareScheduler:
             )
             return fingerprint(sim.run(program))
 
-        assert run(cls(power=neutral)) == run(make_scheduler("multiprio"))
+        assert run(make_scheduler(name, power=neutral)) == run(make_scheduler("multiprio"))
 
 
 class TestEdpMultiPrio:
     def test_registry_name(self):
-        assert EdpMultiPrio().name == "multiprio-edp"
-        assert EdpMultiPrio().objective == "edp"
-        assert type(make_scheduler("multiprio-edp")) is EdpMultiPrio
+        sched = make_scheduler("multiprio-edp")
+        assert type(sched) is EnergyAwareMultiPrio
+        assert sched.name == "multiprio-edp"
+        assert sched.objective == "edp"
 
-    def test_objective_kwarg_equivalence(self):
-        assert EnergyAwareMultiPrio(objective="edp").objective == "edp"
+    def test_objective_kwarg_equivalence(self, hetero_machine):
+        """The registry alias is the objective parameter, schedule for
+        schedule; the name follows the objective."""
+        by_kwarg = EnergyAwareMultiPrio(objective="edp")
+        assert by_kwarg.name == "multiprio-edp"
+        assert make_scheduler("multiprio-edp", objective="energy").name == (
+            "multiprio-energy"
+        )
+        program = make_fork_join_program(width=32, flops=8e8)
+        pm = AnalyticalPerfModel(hetero_machine.calibration())
+
+        def run(sched):
+            sim = Simulator(
+                hetero_machine.platform(), sched, pm, seed=0, record_trace=True
+            )
+            return fingerprint(sim.run(program))
+
+        assert run(by_kwarg) == run(make_scheduler("multiprio-edp"))
 
     def test_edp_is_at_most_as_aggressive_as_energy(self, hetero_machine):
         """δ²·P improves only if δ·P does (whenever the lean worker is
@@ -208,4 +226,5 @@ class TestEdpMultiPrio:
                 res.exec_time_by_arch.values()
             )
 
-        assert cpu_share(EdpMultiPrio()) <= cpu_share(EnergyAwareMultiPrio()) + 1e-12
+        edp = cpu_share(make_scheduler("multiprio-edp"))
+        assert edp <= cpu_share(make_scheduler("multiprio-energy")) + 1e-12

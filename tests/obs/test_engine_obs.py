@@ -4,7 +4,7 @@ consistency, decision provenance, fault events."""
 import pytest
 
 from repro.apps.dense import cholesky_program
-from repro.core.multiprio import MultiPrio
+from repro.schedulers.multiprio import MultiPrio
 from repro.obs.events import (
     DecisionEvent,
     RecordLevel,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import SimConfig, simulate_stream
+from repro.api import SimConfig, SimSpec
 from repro.apps.dense import cholesky_program, lu_program
 from repro.check.differential import fingerprint
 from repro.schedulers.base import Scheduler
@@ -39,14 +39,14 @@ def batched_stream():
 
 
 def run(scheduler, sched_params):
-    return simulate_stream(
-        batched_stream(), "small-hetero", scheduler,
-        isolated_baseline=False,
+    return SimSpec(
+        "small-hetero", scheduler,
         config=SimConfig(
             record_trace=True, batch_step=50.0, batch_drain_on_idle=False,
             sched_params=sched_params,
         ),
-    )
+        isolated_baseline=False,
+    ).run_stream(batched_stream())
 
 
 @pytest.mark.parametrize("sched_params", [

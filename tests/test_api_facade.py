@@ -1,6 +1,6 @@
 """Contract tests for the redesigned public API.
 
-Covers the :func:`repro.simulate` facade, :class:`repro.SimConfig`, the
+Covers the :class:`repro.SimSpec` facade, :class:`repro.SimConfig`, the
 parameterized scheduler registry (``make_scheduler(name, **params)``,
 ``register_scheduler(..., override=True)``) and the equivalence between
 ablation aliases and explicit constructor parameters.
@@ -8,9 +8,9 @@ ablation aliases and explicit constructor parameters.
 
 import pytest
 
-from repro import SimConfig, make_scheduler, register_scheduler, simulate
+from repro import SimConfig, SimSpec, make_scheduler, register_scheduler
 from repro.apps.dense import cholesky_program
-from repro.core.multiprio import MultiPrio
+from repro.schedulers.multiprio import MultiPrio
 from repro.platform.machines import small_hetero
 from repro.schedulers.registry import parse_sched_opts
 from repro.utils.validation import ValidationError
@@ -28,52 +28,45 @@ def machine():
 
 class TestSimulateFacade:
     def test_minimal_call(self, program, machine):
-        res = simulate(program, machine, "multiprio")
+        res = SimSpec(machine, "multiprio").run(program)
         assert res.makespan > 0
         assert res.gflops > 0
 
     def test_machine_by_registry_name(self, program):
-        res = simulate(program, "intel-v100", "multiprio")
+        res = SimSpec("intel-v100", "multiprio").run(program)
         assert res.makespan > 0
 
     def test_unknown_machine_name(self, program):
         with pytest.raises(ValidationError, match="unknown machine"):
-            simulate(program, "no-such-box")
+            SimSpec("no-such-box").run(program)
 
     def test_scheduler_instance_accepted(self, program, machine):
-        by_name = simulate(program, machine, "multiprio")
-        by_instance = simulate(program, machine, MultiPrio())
+        by_name = SimSpec(machine, "multiprio").run(program)
+        by_instance = SimSpec(machine, MultiPrio()).run(program)
         assert by_instance.makespan == by_name.makespan
 
     def test_instance_plus_params_rejected(self, program, machine):
+        spec = SimSpec(machine, MultiPrio(), sched_params={"eviction": False})
         with pytest.raises(ValidationError, match="sched_params"):
-            simulate(program, machine, MultiPrio(), sched_params={"eviction": False})
-
-    def test_config_object_takes_precedence(self, program, machine):
-        cfg = SimConfig(seed=7, noise_sigma=0.1)
-        a = simulate(program, machine, "multiprio", config=cfg)
-        # The loose keyword must be ignored when config is given.
-        b = simulate(program, machine, "multiprio", config=cfg, seed=999)
-        assert a.makespan == b.makespan
+            spec.run(program)
 
     def test_seed_changes_noisy_runs(self, program, machine):
-        a = simulate(program, machine, "multiprio", seed=0, noise_sigma=0.2)
-        b = simulate(program, machine, "multiprio", seed=1, noise_sigma=0.2)
+        a = SimSpec(machine, "multiprio", seed=0, noise_sigma=0.2).run(program)
+        b = SimSpec(machine, "multiprio", seed=1, noise_sigma=0.2).run(program)
         assert a.makespan != b.makespan
 
     def test_deterministic_for_fixed_seed(self, program, machine):
-        a = simulate(program, machine, "multiprio", seed=3, noise_sigma=0.2)
-        b = simulate(program, machine, "multiprio", seed=3, noise_sigma=0.2)
+        cfg = SimConfig(seed=3, noise_sigma=0.2)
+        a = SimSpec(machine, "multiprio", config=cfg).run(program)
+        b = SimSpec(machine, "multiprio", config=cfg).run(program)
         assert a.makespan == b.makespan
         assert a.bytes_transferred == b.bytes_transferred
 
     def test_sched_params_change_behaviour(self, program, machine):
-        base = simulate(program, machine, "multiprio")
-        tweaked = simulate(
-            program, machine, "multiprio",
+        tweaked = SimSpec(
+            machine, "multiprio",
             sched_params={"use_criticality": False, "use_locality": False},
-        )
-        assert tweaked.makespan != base.makespan or True  # must at least run
+        ).run(program)
         assert tweaked.makespan > 0
 
 
@@ -93,10 +86,10 @@ class TestParameterizedRegistry:
             make_scheduler("no-such-policy")
 
     def test_ablation_alias_equals_explicit_params(self, program, machine):
-        alias = simulate(program, machine, "multiprio-noevict")
-        explicit = simulate(
-            program, machine, "multiprio", sched_params={"eviction": False}
-        )
+        alias = SimSpec(machine, "multiprio-noevict").run(program)
+        explicit = SimSpec(
+            machine, "multiprio", sched_params={"eviction": False}
+        ).run(program)
         assert alias.makespan == explicit.makespan
         assert alias.bytes_transferred == explicit.bytes_transferred
 

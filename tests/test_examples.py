@@ -1,5 +1,6 @@
 """Examples must stay runnable: execute each script with small inputs."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -53,3 +54,23 @@ def test_efficiency_bounds(capsys):
 def test_eviction_trace(capsys):
     out = run_example("eviction_trace.py", [], capsys)
     assert "eviction gains" in out
+
+
+def readme_python_blocks() -> list[str]:
+    text = (EXAMPLES.parent / "README.md").read_text()
+    return re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    """README's python blocks build on each other: run them in one
+    namespace, in order, as a reader pasting them into one session."""
+    blocks = readme_python_blocks()
+    assert len(blocks) == 9
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+        if "default_overload_config" in block:
+            # The control-plane example completes every job of its stream.
+            control = namespace["sres"].control
+            assert control.n_arrived == control.n_completed == 8
+    capsys.readouterr()

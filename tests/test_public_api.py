@@ -63,18 +63,18 @@ def test_readme_quickstart_names_exist():
         AnalyticalPerfModel,
         MultiPrio,
         SimConfig,
+        SimSpec,
         Simulator,
         TaskFlow,
         make_scheduler,
         register_scheduler,
-        simulate,
     )
     from repro.platform import small_hetero  # noqa: F401
     from repro.apps.dense import cholesky_program  # noqa: F401
 
 
 def test_public_classes_have_docstrings():
-    from repro.core.multiprio import MultiPrio
+    from repro.schedulers.multiprio import MultiPrio
     from repro.obs.bus import EventBus, Observability
     from repro.obs.metrics import Gauge, MetricsRegistry
     from repro.runtime.engine import SchedContext, Simulator

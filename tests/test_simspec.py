@@ -1,10 +1,10 @@
-"""SimSpec facade: wrapper equivalence, deprecation, stream determinism."""
+"""SimSpec facade: convenience keywords, spec semantics, stream determinism."""
 
-import warnings
+from dataclasses import replace
 
 import pytest
 
-from repro.api import SimConfig, SimSpec, simulate, simulate_stream
+from repro.api import SimConfig, SimSpec
 from repro.apps.dense import cholesky_program
 from repro.check.differential import fingerprint
 from repro.schedulers import scheduler_names
@@ -27,77 +27,6 @@ def stream_signature(sres):
     )
 
 
-class TestWrapperEquivalence:
-    def test_simulate_equals_simspec_bit_identically(self):
-        program = cholesky_program(5, 384)
-        spec = SimSpec(
-            "small-hetero", "multiprio",
-            config=SimConfig(seed=3, noise_sigma=0.1, record_trace=True),
-        )
-        via_spec = spec.run(program)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_wrapper = simulate(
-                program, "small-hetero", "multiprio",
-                seed=3, noise_sigma=0.1, record_trace=True,
-            )
-        assert fingerprint(via_spec) == fingerprint(via_wrapper)
-
-    def test_simulate_stream_equals_simspec_bit_identically(self):
-        spec = SimSpec(
-            "small-hetero", "dmdas",
-            config=SimConfig(record_trace=True),
-            isolated_baseline=False,
-        )
-        via_spec = spec.run_stream(small_stream())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_wrapper = simulate_stream(
-                small_stream(), "small-hetero", "dmdas",
-                record_trace=True, isolated_baseline=False,
-            )
-        assert fingerprint(via_spec.sim) == fingerprint(via_wrapper.sim)
-        assert stream_signature(via_spec) == stream_signature(via_wrapper)
-
-    def test_config_form_equals_loose_keywords(self):
-        program = cholesky_program(4, 384)
-        cfg = SimConfig(seed=7, record_trace=True)
-        by_config = simulate(program, "small-hetero", "eager", config=cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            by_kw = simulate(
-                program, "small-hetero", "eager", seed=7, record_trace=True
-            )
-        assert fingerprint(by_config) == fingerprint(by_kw)
-
-
-class TestDeprecation:
-    def test_loose_keywords_warn(self):
-        program = cholesky_program(4, 384)
-        with pytest.warns(DeprecationWarning, match="SimSpec"):
-            simulate(program, "small-hetero", "eager", seed=1)
-
-    def test_stream_loose_keywords_warn(self):
-        with pytest.warns(DeprecationWarning, match="SimSpec"):
-            simulate_stream(
-                small_stream(), "small-hetero", "eager",
-                isolated_baseline=False, submission_window=64,
-            )
-
-    def test_bare_positional_call_is_warning_free(self):
-        program = cholesky_program(4, 384)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            simulate(program, "small-hetero", "eager")
-
-    def test_config_call_is_warning_free(self):
-        program = cholesky_program(4, 384)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            simulate(program, "small-hetero", "eager",
-                     config=SimConfig(seed=2))
-
-
 class TestSpecSemantics:
     def test_convenience_keywords_fold_into_config(self):
         spec = SimSpec("small-hetero", "eager", seed=9, batch_step=50.0,
@@ -105,8 +34,33 @@ class TestSpecSemantics:
         assert spec.config.seed == 9
         assert spec.config.batch_step == 50.0
         assert spec.config.record_trace is True
-        # The attribute view mirrors the effective config.
-        assert spec.seed == 9 and spec.batch_step == 50.0
+        # Folded in once: the effective values live only in `config`.
+        assert spec.seed is None and spec.batch_step is None
+        assert spec == SimSpec("small-hetero", "eager", config=SimConfig(
+            seed=9, batch_step=50.0, record_trace=True))
+
+    def test_keyword_form_equals_config_form(self):
+        program = cholesky_program(4, 384)
+        by_config = SimSpec(
+            "small-hetero", "eager", config=SimConfig(seed=7, record_trace=True)
+        ).run(program)
+        by_kw = SimSpec(
+            "small-hetero", "eager", seed=7, record_trace=True
+        ).run(program)
+        assert fingerprint(by_config) == fingerprint(by_kw)
+
+    def test_replace_keeps_new_config(self):
+        spec = SimSpec("intel-v100", "multiprio", batch_step=50.0)
+        assert replace(spec, config=SimConfig(seed=7)).config.seed == 7
+        assert replace(spec, config=SimConfig(seed=7)).config.batch_step is None
+        assert replace(spec, seed=5).config.seed == 5
+        assert replace(spec, seed=5).config.batch_step == 50.0
+        nondefault = SimConfig(
+            seed=7, noise_sigma=0.1, record_trace=True, record_level="tasks",
+            pipeline=False, batch_drain_on_idle=False,
+            sched_params={"relaxed": 4},
+        )
+        assert replace(spec, config=nondefault).config == nondefault
 
     def test_run_rejects_control_plane(self):
         from repro.control.plane import ControlConfig

@@ -1,4 +1,4 @@
-"""simulate_stream facade: equivalence with simulate(), determinism,
+"""SimSpec.run_stream: equivalence with SimSpec.run, determinism,
 per-job stats, obs provenance, invariant-checked runs."""
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.api import simulate, simulate_stream
+from repro.api import SimSpec
 from repro.apps.dense import cholesky_program
 from repro.check.differential import fingerprint
 from repro.experiments.stream_arrivals import run_stream_experiment
@@ -39,11 +39,11 @@ class TestSingleJobEquivalence:
     def test_stream_of_one_job_matches_simulate(self, scheduler):
         program = cholesky_program(4, 384)
         stream = trace_stream([(0.0, program, "t0")])
-        sres = simulate_stream(
-            stream, "small-hetero", scheduler,
-            isolated_baseline=False, record_trace=True,
-        )
-        res = simulate(program, "small-hetero", scheduler, record_trace=True)
+        sres = SimSpec(
+            "small-hetero", scheduler, isolated_baseline=False,
+            record_trace=True,
+        ).run_stream(stream)
+        res = SimSpec("small-hetero", scheduler, record_trace=True).run(program)
         assert fingerprint(sres.sim) == fingerprint(res)
         assert sres.makespan_us == res.makespan
         job = sres.jobs[0]
@@ -58,8 +58,8 @@ class TestDeterminism:
     )
     def test_same_stream_bit_identical_job_results(self, scheduler):
         stream = small_stream()
-        a = simulate_stream(stream, "small-hetero", scheduler)
-        b = simulate_stream(stream, "small-hetero", scheduler)
+        a = SimSpec("small-hetero", scheduler).run_stream(stream)
+        b = SimSpec("small-hetero", scheduler).run_stream(stream)
         assert [j.as_dict() for j in a.jobs] == [j.as_dict() for j in b.jobs]
         assert a.makespan_us == b.makespan_us
 
@@ -74,8 +74,8 @@ class TestDeterminism:
                 tenants=("t0", "t1"), deadline=6000.0,
             )
 
-        a = simulate_stream(tagged(), "small-hetero", scheduler)
-        b = simulate_stream(tagged(), "small-hetero", scheduler)
+        a = SimSpec("small-hetero", scheduler).run_stream(tagged())
+        b = SimSpec("small-hetero", scheduler).run_stream(tagged())
         assert [j.as_dict() for j in a.jobs] == [j.as_dict() for j in b.jobs]
         assert a.deadline_miss_rate == b.deadline_miss_rate
         assert a.latenesses_us == b.latenesses_us
@@ -95,9 +95,8 @@ class TestPerJobStats:
     def test_jobs_queue_behind_each_other(self):
         # Saturating rate: later jobs must see queueing delay and
         # slowdown > 1 relative to their isolated runs.
-        sres = simulate_stream(
-            small_stream(rate=500.0, n_jobs=4), "small-hetero", "multiprio"
-        )
+        spec = SimSpec("small-hetero", "multiprio")
+        sres = spec.run_stream(small_stream(rate=500.0, n_jobs=4))
         assert len(sres.jobs) == 4
         for job in sres.jobs:
             assert job.start_us >= job.arrival_us
@@ -109,13 +108,14 @@ class TestPerJobStats:
         assert 0.0 < sres.fairness <= 1.0
 
     def test_per_tenant_breakdown(self):
-        sres = simulate_stream(small_stream(), "small-hetero", "multiprio")
+        sres = SimSpec("small-hetero", "multiprio").run_stream(small_stream())
         by_tenant = sres.per_tenant()
         assert set(by_tenant) == {"t0", "t1"}
         assert sum(v["jobs"] for v in by_tenant.values()) == len(sres.jobs)
 
     def test_as_dict_is_json_serializable(self):
-        sres = simulate_stream(small_stream(n_jobs=2), "small-hetero", "multiprio")
+        spec = SimSpec("small-hetero", "multiprio")
+        sres = spec.run_stream(small_stream(n_jobs=2))
         doc = json.loads(json.dumps(sres.as_dict()))
         assert doc["n_jobs"] == 2
         assert len(doc["jobs"]) == 2
@@ -127,9 +127,9 @@ class TestPerJobStats:
             rate_jobs_per_s=400.0, n_jobs=4, seed=2,
             tenants=("t0", "t1"), deadline=5000.0,
         )
-        sres = simulate_stream(
-            stream, "small-hetero", "multiprio", isolated_baseline=False
-        )
+        sres = SimSpec(
+            "small-hetero", "multiprio", isolated_baseline=False,
+        ).run_stream(stream)
         assert len(sres.deadline_jobs) == 4
         for j in sres.jobs:
             assert j.deadline_us == pytest.approx(j.arrival_us + 5000.0)
@@ -148,9 +148,9 @@ class TestPerJobStats:
         stream = closed_loop_stream(
             [lambda: make_chain_program(n=3)], n_clients=2, jobs_per_client=2
         )
-        sres = simulate_stream(
-            stream, "small-hetero", "multiprio", isolated_baseline=False
-        )
+        sres = SimSpec(
+            "small-hetero", "multiprio", isolated_baseline=False,
+        ).run_stream(stream)
         for client in ("client0", "client1"):
             mine = sorted(
                 (j for j in sres.jobs if j.tenant == client),
@@ -163,10 +163,10 @@ class TestPerJobStats:
 class TestObsProvenance:
     def test_job_submit_and_done_events(self):
         stream = small_stream(n_jobs=3)
-        sres = simulate_stream(
-            stream, "small-hetero", "multiprio",
-            isolated_baseline=False, record_level="tasks",
-        )
+        sres = SimSpec(
+            "small-hetero", "multiprio", isolated_baseline=False,
+            record_level="tasks",
+        ).run_stream(stream)
         events = sres.sim.events
         submits = [e for e in events if isinstance(e, JobSubmit)]
         dones = [e for e in events if isinstance(e, JobDone)]
@@ -185,10 +185,10 @@ class TestObsProvenance:
 
     def test_no_task_starts_before_its_release(self):
         stream = small_stream(n_jobs=3)
-        sres = simulate_stream(
-            stream, "small-hetero", "multiprio",
-            isolated_baseline=False, record_level="tasks",
-        )
+        sres = SimSpec(
+            "small-hetero", "multiprio", isolated_baseline=False,
+            record_level="tasks",
+        ).run_stream(stream)
         from repro.workload.merge import merge_stream
 
         merged_release = merge_stream(stream).release_times
@@ -202,21 +202,20 @@ class TestObsProvenance:
 class TestCheckedStreams:
     @pytest.mark.parametrize("window", [None, 4])
     def test_invariant_checker_passes_on_streams(self, window):
-        sres = simulate_stream(
-            small_stream(n_jobs=3), "small-hetero", "multiprio",
-            isolated_baseline=False, check_invariants=True,
-            submission_window=window,
-        )
+        sres = SimSpec(
+            "small-hetero", "multiprio", isolated_baseline=False,
+            check_invariants=True, submission_window=window,
+        ).run_stream(small_stream(n_jobs=3))
         assert sres.sim.n_tasks == sum(j.n_tasks for j in sres.jobs)
 
     def test_checker_does_not_perturb_stream_schedule(self):
         stream = small_stream(n_jobs=3)
-        plain = simulate_stream(
-            stream, "small-hetero", "multiprio",
-            isolated_baseline=False, record_trace=True,
-        )
-        checked = simulate_stream(
-            stream, "small-hetero", "multiprio",
-            isolated_baseline=False, record_trace=True, check_invariants=True,
-        )
+        plain = SimSpec(
+            "small-hetero", "multiprio", isolated_baseline=False,
+            record_trace=True,
+        ).run_stream(stream)
+        checked = SimSpec(
+            "small-hetero", "multiprio", isolated_baseline=False,
+            record_trace=True, check_invariants=True,
+        ).run_stream(stream)
         assert fingerprint(plain.sim) == fingerprint(checked.sim)
