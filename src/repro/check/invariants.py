@@ -4,7 +4,25 @@ The engine binds one :class:`InvariantChecker` per run (only when
 ``check_invariants=True``) and calls :meth:`InvariantChecker.validate`
 at the top of the event loop — i.e. after every fully-processed event,
 with the queue intact — plus once more after the loop drains. Each call
-sweeps six invariant families over the *entire* runtime state:
+checks the ten invariant families below against the whole runtime state.
+
+The three task families (``window``, ``conservation``, ``task_state``)
+are exact but incremental. Each call takes two C-speed snapshots, every
+task's state and every task's dependency counter, and diffs the state
+snapshot against the previous one. Only the tasks that moved update the
+checker's own derived state: the expected dependency counter of every
+task, the DONE count, the RUNNING and READY tid sets, the set of
+SUBMITTED tasks whose expected counter is 0, and the count of cancelled
+tasks the reveal pointer has passed. Every task is still checked on
+every call: the expected counters are compared with the counter
+snapshot in one list comparison, so drift on a task no event touched is
+caught at the next call. A call therefore costs O(tasks) C work per
+moved task plus Python work proportional to the moved tasks, their
+successors and the workers, instead of a Python walk over every task
+and its predecessors.
+The other families re-derive their state on every call (``msi`` walks
+every handle, ``scheduler`` is the policy's own audit); the ``rt``
+ledgers are consumed incrementally.
 
 ``clock``
     Event times never move backward.
@@ -78,6 +96,8 @@ unchecked one.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import ne
 from typing import TYPE_CHECKING
 
 from repro.obs.events import InvariantViolation
@@ -109,6 +129,28 @@ _FAULT_ONLY = {(_RUNNING, _S), (_READY, _S), (_RUNNING, _READY)}
 #: Cancellations, legal only when a control plane is attached (shed jobs
 #: cancel from SUBMITTED, evicted-and-retracted tasks from READY).
 _CONTROL_ONLY = {(_S, _CXL), (_READY, _CXL)}
+
+#: TaskState by value, to read a byte of the state snapshot back.
+_STATES = tuple(TaskState)
+#: States that no longer hold their successors back.
+_FINISHED = (_DONE, _CXL)
+
+
+def _moved_tids(states: bytes, prev: bytes) -> list[int]:
+    """Ascending indices where two equal-length state snapshots differ.
+
+    Read as integers, the XOR of the snapshots is nonzero exactly in the
+    moved tasks' bytes. Each move is peeled off its top in O(n) C work;
+    an event moves a few tasks (a cancelled job all of its tasks).
+    """
+    diff = int.from_bytes(states, "little") ^ int.from_bytes(prev, "little")
+    tids = []
+    while diff:
+        tid = (diff.bit_length() - 1) >> 3
+        tids.append(tid)
+        diff &= (1 << (tid << 3)) - 1
+    tids.reverse()
+    return tids
 
 
 class InvariantChecker:
@@ -181,7 +223,7 @@ class InvariantChecker:
         self._handle_by_hid = {h.hid: h for h in program.handles}
         self._node_ids = {n.mid for n in platform.nodes}
         self._last_now = 0.0
-        self._prev_state = [t.state for t in program.tasks]
+        self._init_tasks()
         # Per-link monotonicity floor: (busy, demand, bytes, transfers).
         self._link_floor = {
             id(link): (link.busy_until, link.demand_busy_until,
@@ -226,9 +268,7 @@ class InvariantChecker:
         prev_now = self._last_now
         self._check_clock(next_now, violations)
         self._check_links(violations)
-        self._check_window(revealed, n_done, prev_now, violations)
-        running = self._check_conservation(revealed, n_done, violations)
-        self._check_task_states(violations)
+        running = self._check_tasks(revealed, n_done, prev_now, violations)
         self._check_msi(running, violations)
         if self.batch_pending is not None:
             self._check_batch(revealed, prev_now, violations)
@@ -325,15 +365,12 @@ class InvariantChecker:
         explainable by a full window or a future release time.
         """
         window = self.window
-        tasks = self.program.tasks
-        n_total = len(tasks)
+        n_total = len(self.program.tasks)
         # Cancelled tasks the reveal pointer passed never consume a
         # submission slot (mirrors the engine's n_cxl_rev counter);
         # cancellation only exists under a control plane.
         n_cxl_rev = (
-            sum(1 for t in tasks[:revealed] if t.state is _CXL)
-            if self.control is not None
-            else 0
+            self._cancelled_revealed(revealed) if self.control is not None else 0
         )
         in_flight = revealed - n_done - n_cxl_rev
         if window is not None and in_flight > window:
@@ -545,39 +582,149 @@ class InvariantChecker:
                 f"{pw.n_admissions} admissions",
             ))
 
-    def _check_task_states(self, out: list) -> None:
-        prev = self._prev_state
-        fault = self.fault_active
-        controlled = self.control is not None
-        for task in self.program.tasks:
-            before, after = prev[task.tid], task.state
-            if before is after:
+    # -- task families (snapshot diff) -------------------------------------
+
+    def _init_tasks(self) -> None:
+        """Derive the task families' state for a fresh run.
+
+        Starts from a virtual all-SUBMITTED state, whose derived state is
+        known (expected counter = number of predecessors), and lets one
+        diff bring it up to the tasks' actual states. That diff's moves
+        are not judged: the run starts wherever the tasks are.
+        """
+        tasks = self.program.tasks
+        # State snapshot of the last sync: one byte per task, its TaskState.
+        self._states = bytes(len(tasks))
+        self._counts: list[int] = []
+        self._expected = [len(t.preds) for t in tasks]
+        self._n_done_seen = 0
+        self._running: set[int] = set()
+        self._ready: set[int] = set()
+        # SUBMITTED tasks whose expected counter is 0, revealed or not.
+        self._zero_submitted = {t.tid for t in tasks if not t.preds}
+        # Cancelled tasks below ``_cxl_mark`` (the last reveal pointer).
+        self._cxl_mark = 0
+        self._n_cxl_rev = 0
+        self._sync()
+
+    def _sync(self) -> "list[tuple[int, TaskState, TaskState]]":
+        """Snapshot every task and update the derived state from the moves.
+
+        Returns the ``(tid, before, after)`` state moves since the previous
+        call in tid order. Invariant kept for every non-cancelled task:
+        ``_expected[tid]`` is the number of its predecessors that are
+        neither DONE nor CANCELLED in the snapshot. A cancelled task's
+        counter freezes at cancellation (the engine stops releasing it),
+        and so does its entry here: successor updates skip cancelled
+        tasks, so a clean cancelled task never shows up in the counter
+        comparison.
+        """
+        tasks = self.program.tasks
+        states = bytes([t.state for t in tasks])
+        self._counts = [t.n_unfinished_preds for t in tasks]
+        prev = self._states
+        self._states = states
+        if states == prev:
+            return []
+        moves = [
+            (tid, _STATES[prev[tid]], _STATES[states[tid]])
+            for tid in _moved_tids(states, prev)
+        ]
+        expected = self._expected
+        running, ready, zero = self._running, self._ready, self._zero_submitted
+        mark = self._cxl_mark
+        uncancelled: list[int] = []
+        for tid, before, after in moves:
+            if before is _RUNNING:
+                running.discard(tid)
+            elif before is _READY:
+                ready.discard(tid)
+            elif before is _S:
+                zero.discard(tid)
+            elif before is _DONE:
+                self._n_done_seen -= 1
+            elif tid < mark:
+                self._n_cxl_rev -= 1
+            if after is _RUNNING:
+                running.add(tid)
+            elif after is _READY:
+                ready.add(tid)
+            elif after is _S:
+                if expected[tid] == 0:
+                    zero.add(tid)
+            elif after is _DONE:
+                self._n_done_seen += 1
+            elif tid < mark:
+                self._n_cxl_rev += 1
+            if before is _CXL:
+                uncancelled.append(tid)
+            finished = after is _DONE or after is _CXL
+            if finished == (before is _DONE or before is _CXL):
                 continue
-            move = (before, after)
-            if (move in _LEGAL or (fault and move in _FAULT_ONLY)
-                    or (controlled and move in _CONTROL_ONLY)):
-                prev[task.tid] = after
-                continue
-            if move in _CONTROL_ONLY:
-                why = "control-only cancellation without a control plane"
-            elif move in _FAULT_ONLY:
-                why = "fault-only rollback without a fault model"
-            else:
-                why = "illegal lifecycle transition"
-            out.append((
-                "task_state",
-                f"{task.name}: {before.name} -> {after.name} ({why})",
-            ))
-            prev[task.tid] = after
+            step = -1 if finished else 1
+            for succ in tasks[tid].succs:
+                sid = succ.tid
+                succ_state = states[sid]
+                if succ_state == _CXL:
+                    continue
+                left = expected[sid] + step
+                expected[sid] = left
+                if succ_state == _S:
+                    if left == 0:
+                        zero.add(sid)
+                    else:
+                        zero.discard(sid)
+        for tid in uncancelled:
+            # Back from CANCELLED (never legal): its entry froze while it
+            # was cancelled, so recount its predecessors.
+            left = sum(
+                1 for p in tasks[tid].preds if states[p.tid] not in _FINISHED
+            )
+            expected[tid] = left
+            if states[tid] == _S:
+                if left == 0:
+                    zero.add(tid)
+                else:
+                    zero.discard(tid)
+        return moves
+
+    def _cancelled_revealed(self, revealed: int) -> int:
+        """Cancelled tasks below the reveal pointer ``revealed``.
+
+        Moves in and out of CANCELLED below the previous pointer are
+        counted by :meth:`_sync`; only the span the pointer moved over
+        is counted here (one C-level ``bytes.count``).
+        """
+        mark = self._cxl_mark
+        if revealed > mark:
+            self._n_cxl_rev += self._states[mark:revealed].count(_CXL)
+        elif revealed < mark:
+            self._n_cxl_rev -= self._states[revealed:mark].count(_CXL)
+        self._cxl_mark = revealed
+        return self._n_cxl_rev
+
+    def _check_tasks(
+        self, revealed: int, n_done: int, prev_now: float, out: list
+    ) -> dict[int, list[tuple[Task, int]]]:
+        """The ``window``, ``conservation`` and ``task_state`` families;
+        returns :meth:`_check_conservation`'s running/staged tasks."""
+        moves = self._sync()
+        self._check_window(revealed, n_done, prev_now, out)
+        running = self._check_conservation(revealed, n_done, out)
+        self._check_task_states(moves, out)
+        return running
 
     def _check_conservation(
         self, revealed: int, n_done: int, out: list
     ) -> dict[int, list[tuple[Task, int]]]:
-        """Partition every task into exactly one bucket.
+        """Every task is in exactly one bucket; counters are exact.
 
-        Returns running/staged tasks as ``tid -> [(task, node)]`` so the
-        MSI sweep can derive the expected pin counts without re-walking
-        the worker dicts.
+        Reads the snapshot and derived state :meth:`_sync` left behind.
+        Violations come out in tid order (within a task: counter, then
+        holder, then bucket), followed by the completion count. Returns
+        running/staged tasks as ``tid -> [(task, node)]`` so the MSI
+        sweep can derive the expected pin counts without re-walking the
+        worker dicts.
         """
         node_of = self._node_of_wid
         holders: dict[int, list[int]] = {}
@@ -592,83 +739,115 @@ class InvariantChecker:
                 holders.setdefault(task.tid, []).append(wid)
                 running.setdefault(task.tid, []).append((task, node_of[wid]))
 
-        retry_pending: set[int] | None = None
-        done_count = 0
-        for task in self.program.tasks:
-            state = task.state
-            if state is _DONE:
-                done_count += 1
+        tasks = self.program.tasks
+        states = self._states
+        counts = self._counts
+        expected = self._expected
+        zero = self._zero_submitted
+        found: list[tuple[int, int, str]] = []
+        if counts != expected:
+            zero = set(zero)  # candidates by actual counter, not expected
+            for tid in compress(range(len(counts)), map(ne, counts, expected)):
+                if states[tid] == _CXL:
+                    # A cancelled task's counter is not checked.
+                    expected[tid] = counts[tid]
+                    continue
+                task = tasks[tid]
+                found.append((
+                    tid, 0,
+                    f"{task.name} counts {counts[tid]} unfinished "
+                    f"predecessors but {expected[tid]} of {len(task.preds)} "
+                    f"are not DONE",
+                ))
+                if states[tid] == _S:
+                    if counts[tid] == 0:
+                        zero.add(tid)
+                    else:
+                        zero.discard(tid)
+        for tid, wids in holders.items():
+            state = _STATES[states[tid]]
+            name = tasks[tid].name
             if state is _CXL:
-                # A cancelled task's own counter froze at cancellation
-                # (successor release happens through its preds' sweeps),
-                # but it must never be worker-held.
-                if task.tid in holders:
-                    out.append((
-                        "conservation",
-                        f"{task.name} is CANCELLED but held by worker(s) "
-                        f"{holders[task.tid]}",
-                    ))
+                found.append((
+                    tid, 0, f"{name} is CANCELLED but held by worker(s) {wids}",
+                ))
                 continue
-            want = sum(
-                1 for p in task.preds
-                if p.state is not _DONE and p.state is not _CXL
-            )
-            if task.n_unfinished_preds != want:
-                out.append((
-                    "conservation",
-                    f"{task.name} counts {task.n_unfinished_preds} unfinished "
-                    f"predecessors but {want} of {len(task.preds)} are not DONE",
+            if state is not _RUNNING:
+                found.append((
+                    tid, 1,
+                    f"{name} held by worker(s) {wids} but in state "
+                    f"{state.name}, not RUNNING",
                 ))
-            wids = holders.get(task.tid)
-            if wids is not None:
-                if state is not _RUNNING:
-                    out.append((
-                        "conservation",
-                        f"{task.name} held by worker(s) {wids} but in state "
-                        f"{state.name}, not RUNNING",
-                    ))
-                if len(wids) > 1:
-                    out.append((
-                        "conservation",
-                        f"{task.name} held by {len(wids)} workers at once: {wids}",
-                    ))
-                continue
-            if state is _RUNNING:
-                out.append((
-                    "conservation",
-                    f"{task.name} is RUNNING but no worker holds it "
-                    f"(neither current nor staged)",
+            if len(wids) > 1:
+                found.append((
+                    tid, 2, f"{name} held by {len(wids)} workers at once: {wids}",
                 ))
-            elif state is _READY and task.tid >= revealed:
-                out.append((
-                    "conservation",
-                    f"{task.name} is READY but was never submitted "
-                    f"(revealed={revealed})",
-                ))
-            elif state is _S and task.tid < revealed and task.n_unfinished_preds == 0:
-                # Submitted, dependencies met, yet not scheduler-held:
-                # only legal as a failed task awaiting its retry event.
-                if retry_pending is None:
-                    retry_pending = {
-                        payload.tid
-                        for _, _, kind, payload in self.events
-                        if kind == TASK_RETRY
-                    }
-                if task.tid not in retry_pending:
-                    out.append((
-                        "conservation",
-                        f"{task.name} is SUBMITTED with all predecessors done "
-                        f"but is neither scheduler-held nor retry-pending: "
-                        f"the task leaked",
+        for tid in self._running.difference(holders):
+            found.append((
+                tid, 3,
+                f"{tasks[tid].name} is RUNNING but no worker holds it "
+                f"(neither current nor staged)",
+            ))
+        ready = self._ready
+        if ready and max(ready) >= revealed:
+            for tid in ready:
+                if tid >= revealed and tid not in holders:
+                    found.append((
+                        tid, 3,
+                        f"{tasks[tid].name} is READY but was never submitted "
+                        f"(revealed={revealed})",
                     ))
-
-        if done_count != n_done:
+        if zero and min(zero) < revealed:
+            # Submitted, dependencies met, yet not scheduler-held: only
+            # legal as a failed task awaiting its retry event.
+            idle = [t for t in zero if t < revealed and t not in holders]
+            if idle:
+                retry_pending = {
+                    payload.tid
+                    for _, _, kind, payload in self.events
+                    if kind == TASK_RETRY
+                }
+                for tid in idle:
+                    if tid not in retry_pending:
+                        found.append((
+                            tid, 3,
+                            f"{tasks[tid].name} is SUBMITTED with all "
+                            f"predecessors done but is neither scheduler-held "
+                            f"nor retry-pending: the task leaked",
+                        ))
+        if found:
+            found.sort()
+            out.extend(("conservation", detail) for _, _, detail in found)
+        if self._n_done_seen != n_done:
             out.append((
                 "conservation",
-                f"engine counted {n_done} completions but {done_count} "
+                f"engine counted {n_done} completions but {self._n_done_seen} "
                 f"tasks are DONE",
             ))
         return running
+
+    def _check_task_states(
+        self, moves: "list[tuple[int, TaskState, TaskState]]", out: list
+    ) -> None:
+        """Only legal lifecycle moves happened since the previous check."""
+        fault = self.fault_active
+        controlled = self.control is not None
+        tasks = self.program.tasks
+        for tid, before, after in moves:
+            move = (before, after)
+            if (move in _LEGAL or (fault and move in _FAULT_ONLY)
+                    or (controlled and move in _CONTROL_ONLY)):
+                continue
+            if move in _CONTROL_ONLY:
+                why = "control-only cancellation without a control plane"
+            elif move in _FAULT_ONLY:
+                why = "fault-only rollback without a fault model"
+            else:
+                why = "illegal lifecycle transition"
+            out.append((
+                "task_state",
+                f"{tasks[tid].name}: {before.name} -> {after.name} ({why})",
+            ))
 
     def _check_msi(
         self, running: dict[int, list[tuple[Task, int]]], out: list

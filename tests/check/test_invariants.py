@@ -374,6 +374,39 @@ class TestWindowFamily:
         checker._check_window(revealed=4, n_done=3, prev_now=0.0, out=out)
         assert out == []
 
+    def test_cancelled_revealed_count_is_maintained(self):
+        from types import SimpleNamespace
+
+        from repro.runtime.task import Task
+
+        checker = self.make_checker(6, window=1)
+        tasks = [Task(tid, "t") for tid in range(6)]
+        checker.program = SimpleNamespace(tasks=tasks)
+        checker.control = object()  # cancellation needs a control plane
+        checker._init_tasks()
+        tasks[1].state = TaskState.CANCELLED
+        tasks[4].state = TaskState.CANCELLED
+        checker._sync()
+        # Only the span the reveal pointer moves over is counted.
+        assert checker._cancelled_revealed(3) == 1
+        # Below the pointer the diff counts a cancellation; at or above
+        # it, the pointer's next move does.
+        tasks[0].state = TaskState.CANCELLED
+        tasks[3].state = TaskState.CANCELLED
+        checker._sync()
+        assert checker._n_cxl_rev == 2
+        assert checker._cancelled_revealed(6) == 4
+        assert checker._cancelled_revealed(2) == 2
+        # 5 revealed, none done, 4 of them cancelled: the one in flight
+        # fills the window, so the stall is excused.
+        out: list = []
+        checker._check_window(revealed=5, n_done=0, prev_now=0.0, out=out)
+        assert out == []
+        tasks[4].state = TaskState.SUBMITTED  # un-cancelled below the pointer
+        checker._sync()
+        checker._check_window(revealed=5, n_done=0, prev_now=0.0, out=out)
+        assert any("exceed the submission window" in d for _, d in out)
+
 
 class TestMultiPrioSelfCheck:
     def make_loaded(self):
