@@ -12,7 +12,9 @@ script implementing the *recorded baseline* workflow::
 ``--record`` measures the reference workloads and writes the numbers to
 a JSON file (committed at the repo root as ``BENCH_engine.json``);
 ``--check`` re-measures and reports the speedup versus the recorded
-baseline, warning (exit 0) or failing (``--fail-under``) on regression.
+baseline. It fails (exit 1) when a simulated makespan drifts from the
+recorded one; a slower timing only warns unless ``--fail-under`` is
+given.
 The headline metric is **scheduler-core time**: the wall time spent
 inside ``push``/``pop``/``force_pop``, isolated from the rest of the
 engine by instrumenting the scheduler instance, so it measures exactly
@@ -139,9 +141,11 @@ def check_against(baseline: dict, measured: dict, fail_under: float | None) -> i
     """Compare a fresh measurement to the recorded baseline.
 
     Prints one line per workload with the scheduler-core speedup
-    (baseline seconds / measured seconds — higher is better).  Returns a
-    non-zero exit code only when ``fail_under`` is given and the
-    headline MultiPrio workload regresses below it.
+    (baseline seconds / measured seconds — higher is better). Returns 1
+    when any workload's simulated makespan differs from the recorded one
+    (the simulation is deterministic, so any drift is a behaviour
+    change), or when ``fail_under`` is given and any workload's speedup
+    falls below it. Without ``fail_under`` the timings only warn.
     """
     code = 0
     for name, base in baseline.get("workloads", {}).items():
@@ -154,6 +158,7 @@ def check_against(baseline: dict, measured: dict, fail_under: float | None) -> i
         drift = ""
         if base.get("makespan_us") and base["makespan_us"] != now["makespan_us"]:
             drift = f"  [MAKESPAN DRIFT {base['makespan_us']:.3f} -> {now['makespan_us']:.3f}us]"
+            code = 1
         print(
             f"{name}: sched-core {now['sched_core_s'] * 1e3:.1f} ms "
             f"(baseline {base['sched_core_s'] * 1e3:.1f} ms, speedup {speedup:.2f}x); "
@@ -170,7 +175,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--record", metavar="PATH", help="measure and write the baseline JSON")
-    mode.add_argument("--check", metavar="PATH", help="measure and compare against a baseline")
+    mode.add_argument(
+        "--check",
+        metavar="PATH",
+        help="measure and compare against a baseline (exit 1 on makespan drift)",
+    )
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats (best-of)")
     parser.add_argument(
         "--fail-under",

@@ -224,14 +224,18 @@ class TaskHeap:
     # -- invariants (used by tests) ---------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert heap order and position consistency (test helper)."""
-        for i, entry in enumerate(self._a):
-            assert entry.pos == i, f"entry at {i} thinks it is at {entry.pos}"
-            parent = (i - 1) >> 1
-            if i > 0:
-                assert self._a[parent].key() >= entry.key(), (
-                    f"heap order violated at {i}"
-                )
+        """Check heap order and position consistency.
+
+        Raises :class:`AssertionError` on the first violation. The raise
+        is explicit, not an ``assert``, so the check still runs under
+        ``python -O`` (``MultiPrio.check`` relies on it).
+        """
+        a = self._a
+        for i, entry in enumerate(a):
+            if entry.pos != i:
+                raise AssertionError(f"entry at {i} thinks it is at {entry.pos}")
+            if i > 0 and not a[(i - 1) >> 1].key() >= entry.key():
+                raise AssertionError(f"heap order violated at {i}")
 
 
 _M64 = (1 << 64) - 1
@@ -393,11 +397,14 @@ class RelaxedTaskHeap:
         return sum(sub.purge_stale() for sub in self._subs)
 
     def check_invariants(self) -> None:
-        """Assert order/position consistency of every sub-heap and that
-        each entry's owner pointer matches the sub-heap holding it."""
+        """Check order/position consistency of every sub-heap and that
+        each entry's owner pointer matches the sub-heap holding it.
+
+        Raises :class:`AssertionError` explicitly, like
+        :meth:`TaskHeap.check_invariants`, so ``python -O`` keeps it.
+        """
         for sub in self._subs:
             sub.check_invariants()
             for entry in sub:
-                assert entry.owner is sub, (
-                    f"{entry!r} owned by the wrong sub-heap"
-                )
+                if entry.owner is not sub:
+                    raise AssertionError(f"{entry!r} owned by the wrong sub-heap")

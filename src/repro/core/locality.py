@@ -15,17 +15,24 @@ it is both read and written.
 
 from __future__ import annotations
 
-from repro.runtime.task import Task
+from repro.runtime.task import _READ_MODES, _WRITE_MODES, Task
 
 
 def ls_sdh2(task: Task, node: int) -> float:
-    """Locality score of ``task`` on memory node ``node`` (higher = more local)."""
+    """Locality score of ``task`` on memory node ``node`` (higher = more local).
+
+    MultiPrio scores up to a window's worth of candidates per admitted
+    pop, so the loop reads ``valid_nodes`` and the mode sets directly
+    instead of going through ``DataHandle.is_valid_on`` and the
+    ``AccessMode.is_read``/``is_write`` properties. The terms are added
+    in access order, so the float sum is the same as the plain loop's.
+    """
     score = 0.0
     for handle, mode in task.accesses:
-        if not handle.is_valid_on(node):
+        if node not in handle.valid_nodes:
             continue
-        if mode.is_read:
+        if mode in _READ_MODES:
             score += float(handle.size)
-        if mode.is_write:
+        if mode in _WRITE_MODES:
             score += float(handle.size) ** 2
     return score

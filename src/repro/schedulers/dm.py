@@ -14,6 +14,7 @@ from collections import deque
 from repro.runtime.task import Task
 from repro.runtime.worker import Worker
 from repro.schedulers.base import Scheduler
+from repro.utils.validation import SchedulingError
 
 
 class Dm(Scheduler):
@@ -75,7 +76,8 @@ class Dm(Scheduler):
             if fit < best_fit:
                 best_fit = fit
                 best = worker
-        assert best is not None, f"no worker can execute {task.name}"
+        if best is None:
+            raise SchedulingError(f"no worker can execute {task.name}")
         return best
 
     # -- hooks ---------------------------------------------------------------

@@ -32,11 +32,36 @@ Ablation knobs used by the benchmark suite:
   matches the paper's reported behaviour (slow workers only help when
   the fast ones are genuinely backlogged); the raw variant is kept as an
   ablation (`multiprio-rawbrw`).
+
+Negative-pop memo. Most POP calls come back empty: an idle slow worker
+scans its window and the pop condition rejects every candidate. In the
+default skip-on-reject mode an empty pop is a pure function of the node
+heap's window, ``best_remaining_work`` with the live worker counts, and
+the push-time δ values. So a miss is cached per ``(memory node, arch)``
+with the number of skips it made, and a repeat at the same state returns
+``None`` and replays the ``skips``/``pop_rejections`` counters without
+scanning. Every change to those inputs clears the whole memo: ``push``,
+``push_batch``, ``_take`` (hits, ``force_pop`` and ``retract``),
+``on_worker_failed`` and a stale discard (``_on_discard``), which
+restructures a heap even when no take follows. The memo is bypassed when
+
+* ``relaxed > 0`` — each relaxed window query draws from the heap's RNG,
+  so skipping one would shift the draw sequence;
+* ``evict_on_reject`` — the evicting pop is a separate path that
+  mutates the heap on every rejection;
+* decision provenance is on (``record_level="decisions"``) — each
+  ``skip`` record carries its own time, so it is emitted live;
+* the perf model does not promise stable estimates — history models
+  drift at task completion, without a scheduler call to invalidate on.
+
+The memo changes no schedule, counter or event: it only skips work
+whose answer is already known.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from operator import attrgetter
 
 from repro.core.criticality import NODTracker, nod
 from repro.core.gain import GainTracker
@@ -46,6 +71,9 @@ from repro.runtime.task import Task, TaskState
 from repro.runtime.worker import Worker
 from repro.schedulers.base import Scheduler
 from repro.utils.validation import ValidationError, check_in_range, check_positive
+
+#: Sort key of a heap entry, without the ``HeapEntry.key`` call frame.
+_SORT_KEY = attrgetter("sort_key")
 
 
 class MultiPrio(Scheduler):
@@ -139,6 +167,11 @@ class MultiPrio(Scheduler):
         # Whether push-time δ values may be reused at pop time (set from
         # the perf model's `stable_estimates` promise in setup()).
         self._stable_deltas = False
+        # Negative-pop memo: (memory node, arch) -> skips of the cached
+        # miss; cleared on every input change (see the module docstring).
+        self._miss_memo: dict[tuple[int, str], int] = {}
+        # Whether pop() may use the memo this run (set in setup()).
+        self._memo_misses = False
 
     # -- lifecycle -------------------------------------------------------
 
@@ -158,6 +191,10 @@ class MultiPrio(Scheduler):
         self._n_retractions = 0
         self._brw_memo = {}
         self._stable_deltas = bool(getattr(ctx.perfmodel, "stable_estimates", False))
+        self._miss_memo = {}
+        self._memo_misses = (
+            self._stable_deltas and not self.relaxed and not self.evict_on_reject
+        )
         for node in ctx.platform.nodes:
             if ctx.platform.workers_of_node(node.mid):
                 # Staleness is tracked with entry tombstones (marked in
@@ -186,6 +223,7 @@ class MultiPrio(Scheduler):
 
     def _on_discard(self, node: int, entry: HeapEntry) -> None:
         """A stale duplicate was dropped: fix counters and the entry map."""
+        self._miss_memo.clear()  # the heap was restructured
         if node in self.ready_tasks_count:
             self.ready_tasks_count[node] -= 1
             if self.obs is not None:
@@ -245,6 +283,7 @@ class MultiPrio(Scheduler):
         task.sched["mp_best_delta"] = deltas[best_arch]
         task.sched["mp_deltas"] = deltas
         self._brw_memo.clear()
+        self._miss_memo.clear()
         if self.obs is not None:
             for mid in enabled_nodes:
                 self.record_queue_depth(
@@ -280,9 +319,10 @@ class MultiPrio(Scheduler):
         ``top_candidates`` exposes the first-n slots — the candidate
         windows (and with them the schedule) would differ. The savings
         are amortization instead: loop-invariant context/tracker/heap
-        lookups are hoisted out of the per-task loop, the BRW memo is
-        cleared once instead of per task, and queue-depth gauges are
-        sampled once per touched node instead of once per (task, node).
+        lookups are hoisted out of the per-task loop, the BRW and miss
+        memos are cleared once instead of per task, and queue-depth
+        gauges are sampled once per touched node instead of once per
+        (task, node).
         """
         if len(tasks) < 2:
             for task in tasks:
@@ -359,6 +399,7 @@ class MultiPrio(Scheduler):
             sched["mp_deltas"] = deltas
             touched.update(enabled_nodes)
         self._brw_memo.clear()
+        self._miss_memo.clear()
         if self.obs is not None:
             for mid in sorted(touched):
                 self.record_queue_depth(f"heap_depth.node{mid}", counts[mid])
@@ -366,12 +407,31 @@ class MultiPrio(Scheduler):
     # -- POP (Alg. 2) ----------------------------------------------------------
 
     def pop(self, worker: Worker) -> Task | None:
-        """Alg. 2: locality-refined selection gated by the pop condition."""
-        heap = self.heaps.get(worker.memory_node)
+        """Alg. 2: locality-refined selection gated by the pop condition.
+
+        A miss is remembered per ``(memory node, arch)`` until the next
+        change to the heaps, ``best_remaining_work`` or the worker counts;
+        asking again before then returns ``None`` at once and replays the
+        miss's ``skips``/``pop_rejections`` counts. The memo is bypassed
+        for relaxed heaps, ``evict_on_reject``, decisions-level recording
+        and unstable perf models (module docstring).
+        """
+        mid = worker.memory_node
+        heap = self.heaps.get(mid)
         if heap is None:
             return None
         if self.evict_on_reject:
             return self._pop_evicting(heap, worker)
+        dec = self.decisions_enabled
+        key = None
+        if self._memo_misses and not dec:
+            key = (mid, worker.arch)
+            known = self._miss_memo.get(key)
+            if known is not None:
+                if known:
+                    self._n_skips += known
+                    self._n_rejections += 1
+                return None
         # Skip-on-reject (the default): rejections leave the heap
         # untouched and staleness cannot change mid-pop, so one candidate
         # window per pop suffices. Walking it in decreasing key order
@@ -379,11 +439,12 @@ class MultiPrio(Scheduler):
         # loop would produce, at a fraction of the cost.
         window = heap.top_candidates(max(self.locality_n, self.max_tries + 1))
         if not window:
+            if key is not None:
+                self._miss_memo[key] = 0
             return None
-        dec = self.decisions_enabled
         tries = 0
         rejected: set[int] = set()
-        for top in sorted(window, key=HeapEntry.key, reverse=True):
+        for top in sorted(window, key=_SORT_KEY, reverse=True):
             if tries >= self.max_tries:
                 break
             # Cheap first pass: the admission test; the (costlier)
@@ -420,6 +481,10 @@ class MultiPrio(Scheduler):
             return entry.task
         if tries:
             self._n_rejections += 1
+        if key is not None:
+            # Stored after the scan: any stale discard it triggered has
+            # already cleared the memo, so the entry matches this state.
+            self._miss_memo[key] = tries
         return None
 
     def _pop_evicting(self, heap: TaskHeap, worker: Worker) -> Task | None:
@@ -566,6 +631,7 @@ class MultiPrio(Scheduler):
         node are returned for the engine to re-push.
         """
         self._brw_memo.clear()  # worker counts (drain divisor) changed
+        self._miss_memo.clear()
         mid = worker.memory_node
         if self.ctx.workers_of_node(mid):
             return []  # surviving streams keep serving this heap
@@ -616,6 +682,7 @@ class MultiPrio(Scheduler):
                 self.best_remaining_work[mid] = 0.0
         task.sched["mp_brw_nodes"] = []
         self._brw_memo.clear()
+        self._miss_memo.clear()
 
     def _locality_refine(
         self, top: HeapEntry, live: list[HeapEntry], worker: Worker
@@ -630,14 +697,16 @@ class MultiPrio(Scheduler):
         if not self.use_locality or len(live) == 1:
             return top
         threshold = top.gain - self.locality_eps
+        node = worker.memory_node
+        admission = self._admission  # the pop condition, one frame less
         best_entry = top
-        best_score = ls_sdh2(top.task, worker.memory_node)
+        best_score = ls_sdh2(top.task, node)
         for entry in live[: self.locality_n]:
             if entry is top or entry.gain < threshold:
                 continue
-            if not self._pop_condition(entry.task, worker):
+            if not admission(entry.task, worker)[0]:
                 continue
-            score = ls_sdh2(entry.task, worker.memory_node)
+            score = ls_sdh2(entry.task, node)
             if score > best_score or (
                 score == best_score and entry.sort_key > best_entry.sort_key
             ):
@@ -667,19 +736,19 @@ class MultiPrio(Scheduler):
         exactly these values.
         """
         ctx = self.ctx
-        best_arch = ctx.best_arch(task)
+        sched = task.sched
+        # The best arch is cached at push; a worker failure that removes
+        # an architecture drops the cache, and ctx.best_arch rebuilds it.
+        best_arch = sched.get("_best_arch") or ctx.best_arch(task)
+        arch = worker.arch
         # δ values were computed at push time; with a stable perf model
         # they are reused here, otherwise queried live (history models
         # legitimately drift between push and pop).
-        deltas = task.sched["mp_deltas"] if self._stable_deltas else None
-        delta = deltas[worker.arch] if deltas is not None else ctx.estimate(task, worker.arch)
-        if worker.arch == best_arch:
+        deltas = sched["mp_deltas"] if self._stable_deltas else None
+        delta = deltas[arch] if deltas is not None else ctx.estimate(task, arch)
+        if arch == best_arch or not self.eviction:
             return True, None, delta
-        if not self.eviction:
-            return True, None, delta
-        best_delta = (
-            deltas[best_arch] if deltas is not None else ctx.estimate(task, best_arch)
-        )
+        best_delta = deltas[best_arch] if deltas is not None else ctx.estimate(task, best_arch)
         if self.slowdown_cap is not None and delta > self.slowdown_cap * best_delta:
             return False, None, delta
         brw = self._brw_memo.get(best_arch)

@@ -24,6 +24,7 @@ from collections import deque
 from repro.runtime.task import Task, TaskState
 from repro.runtime.worker import Worker
 from repro.schedulers.base import Scheduler
+from repro.utils.validation import SchedulingError
 
 
 class StaticHEFT(Scheduler):
@@ -128,7 +129,8 @@ class StaticHEFT(Scheduler):
                 if eft < best_eft:
                     best_eft = eft
                     best_worker = worker
-            assert best_worker is not None
+            if best_worker is None:
+                raise SchedulingError(f"no worker can execute {task.name}")
             worker_free[best_worker.wid] = best_eft
             finish[task.tid] = best_eft
             placed_node[task.tid] = best_worker.memory_node

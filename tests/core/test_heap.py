@@ -1,5 +1,10 @@
 """Binary max-heap tests: ordering, removal, staleness, invariants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -135,3 +140,39 @@ def test_random_insert_remove_preserves_invariants(scores, rng):
         if last is not None:
             assert entry.key() <= last
         last = entry.key()
+
+
+_OPTIMIZED_CHECK = """
+from repro.core.heap import RelaxedTaskHeap, TaskHeap
+from repro.runtime.task import Task
+
+heap = TaskHeap()
+for tid in range(4):
+    heap.insert(Task(tid, "k", implementations=("cpu",)), 0.1 * tid, 0.0)
+list(heap)[1].pos = 99
+relaxed = RelaxedTaskHeap(2)
+for tid in range(4):
+    relaxed.insert(Task(tid, "k", implementations=("cpu",)), 0.1 * tid, 0.0)
+next(iter(relaxed)).owner = None
+for h in (heap, relaxed):
+    try:
+        h.check_invariants()
+    except AssertionError as exc:
+        print("reported:", exc)
+    else:
+        print("missed")
+"""
+
+
+def test_corruption_is_reported_under_python_O():
+    """The self-checks raise explicitly, so ``python -O`` (which strips
+    ``assert`` statements) still reports a corrupted heap."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECK],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert len(out) == 2
+    assert out[0] == "reported: entry at 1 thinks it is at 99"
+    assert out[1].startswith("reported: <HeapEntry") and "wrong sub-heap" in out[1]

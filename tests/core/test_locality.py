@@ -1,6 +1,8 @@
 """LS_SDH² locality score tests (Eq. 3)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.locality import ls_sdh2
 from repro.runtime.data import DataHandle
@@ -58,3 +60,36 @@ def test_mixed_accesses_sum():
     h_missing = handle(2, 1000, {0})
     t = Task(0, "k", [(h_r, AccessMode.R), (h_w, AccessMode.W), (h_missing, AccessMode.R)])
     assert ls_sdh2(t, 3) == pytest.approx(50.0 + 400.0)
+
+
+def reference_ls_sdh2(task: Task, node: int) -> float:
+    """The plain Eq. (3) loop through the public handle/mode helpers."""
+    score = 0.0
+    for h, mode in task.accesses:
+        if not h.is_valid_on(node):
+            continue
+        if mode.is_read:
+            score += float(h.size)
+        if mode.is_write:
+            score += float(h.size) ** 2
+    return score
+
+
+_accesses = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 3, 100, 4096, 10**6, 2**40 + 1]),
+        st.frozensets(st.integers(0, 4), max_size=5),
+        st.sampled_from(list(AccessMode)),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(accesses=_accesses, node=st.integers(0, 4))
+def test_matches_reference_loop(accesses, node):
+    """The direct-membership loop is bit-equal to the reference loop on
+    every mode, size (0 included) and residency pattern."""
+    acc = [(handle(i, size, nodes), mode) for i, (size, nodes, mode) in enumerate(accesses)]
+    t = Task(0, "k", acc)
+    assert ls_sdh2(t, node) == reference_ls_sdh2(t, node)

@@ -1,5 +1,7 @@
 """Dm / Dmda / Dmdas behavioural tests."""
 
+import pytest
+
 from repro.runtime.engine import SchedContext, Simulator
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import TaskFlow
@@ -7,6 +9,7 @@ from repro.runtime.task import AccessMode, TaskState
 from repro.schedulers.dm import Dm
 from repro.schedulers.dmda import Dmda
 from repro.schedulers.dmdas import Dmdas
+from repro.utils.validation import SchedulingError
 
 
 def make_ctx(machine):
@@ -26,6 +29,15 @@ def ready(flow, size=1024, type_name="gemm", flops=1e9, priority=0, impls=("cpu"
 
 
 class TestDm:
+    def test_unexecutable_task_raises_scheduling_error(self, hetero_machine):
+        """An explicit error, not an ``assert`` that ``python -O`` strips."""
+        ctx = make_ctx(hetero_machine)
+        sched = Dm()
+        sched.setup(ctx)
+        task = ready(TaskFlow(), impls=("opencl",))
+        with pytest.raises(SchedulingError, match="no worker can execute"):
+            sched.push(task)
+
     def test_assigns_to_fastest_idle_worker(self, hetero_machine):
         ctx = make_ctx(hetero_machine)
         sched = Dm()
