@@ -30,7 +30,6 @@ def run(machine, program, sched, sigma=0.0, seed=0):
         sched,
         AnalyticalPerfModel(machine.calibration(), noise_sigma=sigma),
         seed=seed,
-        record_trace=False,
     )
     return sim.run(program).makespan
 

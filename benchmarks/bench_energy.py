@@ -172,7 +172,6 @@ def test_energy_aware_multiprio(benchmark, report):
                 sched,
                 AnalyticalPerfModel(machine.calibration(), noise_sigma=0.15),
                 seed=0,
-                record_trace=False,
             )
             res = sim.run(program)
             out[label] = (res.makespan, energy_of_result(res, sim.platform))

@@ -98,10 +98,7 @@ def measure_workload(
     for _ in range(max(1, repeats)):
         sched = make_scheduler(scheduler_name)
         totals = instrument_scheduler(sched)
-        sim = Simulator(
-            platform, sched, pm, seed=0, record_trace=False,
-            batch_step=batch_step,
-        )
+        sim = Simulator(platform, sched, pm, seed=0, batch_step=batch_step)
         t0 = time.perf_counter()
         res = sim.run(program)
         wall = time.perf_counter() - t0
@@ -212,8 +209,7 @@ def test_simulator_throughput_multiprio(benchmark):
     platform = machine.platform()
 
     def run():
-        sim = Simulator(platform, make_scheduler("multiprio"), pm, seed=0,
-                        record_trace=False)
+        sim = Simulator(platform, make_scheduler("multiprio"), pm, seed=0)
         return sim.run(program).n_tasks
 
     n = benchmark(run)
@@ -228,8 +224,7 @@ def test_simulator_throughput_dmdas(benchmark):
     platform = machine.platform()
 
     def run():
-        sim = Simulator(platform, make_scheduler("dmdas"), pm, seed=0,
-                        record_trace=False)
+        sim = Simulator(platform, make_scheduler("dmdas"), pm, seed=0)
         return sim.run(program).n_tasks
 
     n = benchmark(run)

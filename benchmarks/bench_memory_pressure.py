@@ -37,7 +37,6 @@ def test_memory_pressure_flips_getrf_ranking(benchmark, report):
                     make_scheduler(sched),
                     AnalyticalPerfModel(machine.calibration(), noise_sigma=0.05),
                     seed=3,
-                    record_trace=False,
                 )
                 res = sim.run(program)
                 results[(label, sched)] = (

@@ -29,7 +29,6 @@ def _sim(scheduler_name: str, record_level: str) -> Simulator:
         make_scheduler(scheduler_name),
         AnalyticalPerfModel(machine.calibration()),
         seed=0,
-        record_trace=False,
         record_level=record_level,
     )
 

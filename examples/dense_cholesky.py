@@ -14,6 +14,7 @@ import sys
 from repro import AnalyticalPerfModel, Simulator, make_scheduler
 from repro.apps.dense import cholesky_program
 from repro.experiments.reporting import format_table
+from repro.obs import trace_from_events
 from repro.platform import amd_a100, intel_v100
 
 n_tiles = int(sys.argv[1]) if len(sys.argv) > 1 else 16
@@ -34,7 +35,7 @@ for machine in (intel_v100(gpu_streams=1), amd_a100(gpu_streams=1)):
             make_scheduler(sched),
             AnalyticalPerfModel(machine.calibration()),
             seed=0,
-            record_trace=True,
+            record_level="tasks",
         )
         res = sim.run(program)
         rows.append(
@@ -49,7 +50,7 @@ for machine in (intel_v100(gpu_streams=1), amd_a100(gpu_streams=1)):
         )
         key = machine.name
         if key not in best or res.makespan < best[key][1].makespan:
-            best[key] = (sched, res)
+            best[key] = (sched, res, sim.platform.workers)
 
 print(
     format_table(
@@ -59,7 +60,6 @@ print(
     )
 )
 
-name, res = best["intel-v100"]
+name, res, workers = best["intel-v100"]
 print(f"\nGantt of the intel-v100 winner ({name}):")
-assert res.trace is not None
-print(res.trace.gantt_ascii(width=100))
+print(trace_from_events(res.events, workers).gantt_ascii(width=100))

@@ -33,8 +33,7 @@ print(
 
 efficiencies = {}
 for name in ("static-heft", "multiprio", "dmdas", "heteroprio", "lws", "eager"):
-    sim = Simulator(machine.platform(), make_scheduler(name), pm, seed=0,
-                    record_trace=False)
+    sim = Simulator(machine.platform(), make_scheduler(name), pm, seed=0)
     res = sim.run(program)
     report = efficiency_report(res, program, machine.platform(), pm)
     efficiencies[name] = report["efficiency"]

@@ -42,7 +42,6 @@ for name in ("multiprio", "dmdas", "heteroprio", "eager"):
         make_scheduler(name),
         AnalyticalPerfModel(machine.calibration(), noise_sigma=0.15),
         seed=0,
-        record_trace=False,
     )
     res = sim.run(program)
     rows.append(

@@ -7,7 +7,7 @@ from repro.analysis.stats import (
     jain_fairness_index,
     load_balance_index,
 )
-from repro.analysis.export import to_chrome_trace, to_csv
+from repro.analysis.export import to_csv
 from repro.analysis.bounds import makespan_bounds, efficiency_report, Bounds
 from repro.analysis.ascii_plot import hbar_chart, grouped_bars, series_plot
 
@@ -17,7 +17,6 @@ __all__ = [
     "geometric_mean",
     "jain_fairness_index",
     "load_balance_index",
-    "to_chrome_trace",
     "to_csv",
     "makespan_bounds",
     "efficiency_report",

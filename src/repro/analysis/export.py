@@ -1,64 +1,12 @@
-"""Trace export: Chrome tracing JSON and CSV.
+"""Trace export: a flat per-task CSV table for pandas/R post-processing.
 
-``to_chrome_trace`` emits the ``chrome://tracing`` / Perfetto event
-format — load the file in a browser to inspect the schedule visually,
-the closest equivalent to the paper's StarVZ plots. ``to_csv`` emits a
-flat per-task table for pandas/R post-processing.
+The Chrome tracing / Perfetto format comes from the event stream:
+:func:`repro.obs.export.events_to_chrome`.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any
-
 from repro.runtime.trace import Trace
-
-
-def to_chrome_trace(trace: Trace) -> str:
-    """Serialize a trace to the Chrome tracing JSON format.
-
-    One row (``tid``) per worker inside a single process; task
-    executions become complete events (``ph: "X"``), residual data
-    stalls become separate shaded events.
-    """
-    events: list[dict[str, Any]] = []
-    for worker in trace.workers:
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": worker.wid,
-                "args": {"name": f"{worker.name} ({worker.arch})"},
-            }
-        )
-    for rec in trace.task_records:
-        if rec.wait_time > 0:
-            events.append(
-                {
-                    "name": "data wait",
-                    "cat": "transfer",
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": rec.worker,
-                    "ts": rec.pop_time,
-                    "dur": rec.wait_time,
-                    "args": {"task": rec.tid},
-                }
-            )
-        events.append(
-            {
-                "name": rec.type_name,
-                "cat": "task",
-                "ph": "X",
-                "pid": 0,
-                "tid": rec.worker,
-                "ts": rec.start,
-                "dur": rec.exec_time,
-                "args": {"task": rec.tid, "node": rec.node},
-            }
-        )
-    return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
 
 
 def to_csv(trace: Trace) -> str:

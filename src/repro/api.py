@@ -76,7 +76,6 @@ class SimConfig:
     noise_sigma: float = 0.0
     perfmodel: "PerfModel | None" = None
     faults: FaultModel | None = None
-    record_trace: bool = False
     record_level: RecordLevel | str | int = RecordLevel.OFF
     pipeline: bool = True
     submission_window: int | None = None
@@ -125,7 +124,6 @@ def _build_simulator(
         sched,
         pm,
         seed=cfg.seed,
-        record_trace=cfg.record_trace,
         pipeline=cfg.pipeline,
         submission_window=cfg.submission_window,
         fault_model=cfg.faults,
@@ -186,7 +184,6 @@ class SimSpec:
     noise_sigma: "float | None" = None
     perfmodel: "PerfModel | None" = None
     faults: FaultModel | None = None
-    record_trace: "bool | None" = None
     record_level: "RecordLevel | str | int | None" = None
     pipeline: "bool | None" = None
     submission_window: "int | None" = None

@@ -5,9 +5,8 @@ this module compares *across* runs and against analytic bounds — the
 properties a correct simulator cannot violate regardless of policy:
 
 * **Determinism** — with ``noise_sigma=0`` a run is bit-identical across
-  repeats and across observability flags (``record_trace``,
-  ``record_level``) and the invariant checker being on or off; none of
-  those knobs may perturb the schedule.
+  repeats, across ``record_level`` and with the invariant checker on or
+  off; none of those knobs may perturb the schedule.
 * **Lower bounds** — the makespan is bounded below by the critical path
   (chain of per-task best-architecture estimates) and by total work
   divided by the worker count.
@@ -63,6 +62,7 @@ from typing import Callable, Iterable
 from repro.apps.dense import cholesky_program, lu_program, qr_program
 from repro.apps.fmm import fmm_program
 from repro.platform.machines import MACHINES, MachineModel
+from repro.obs.events import TaskEnd
 from repro.runtime.engine import Simulator, SimResult
 from repro.runtime.faults import FaultModel
 from repro.runtime.perfmodel import AnalyticalPerfModel
@@ -128,20 +128,46 @@ def _run(
         make_scheduler(scheduler),
         AnalyticalPerfModel(machine.calibration()),
         seed=0,
-        record_trace=kwargs.pop("record_trace", False),
         **kwargs,
     )
     return sim.run(program), sim
 
 
-def fingerprint(res: SimResult) -> tuple:
-    """Bit-comparable summary of one traced run: every task's placement
-    and timing, the makespan and the bytes moved."""
-    assert res.trace is not None, "fingerprint needs record_trace=True"
-    records = tuple(
-        sorted((r.tid, r.worker, r.start, r.end) for r in res.trace.task_records)
-    )
-    return (records, res.makespan, res.bytes_transferred)
+def fingerprint(res: SimResult, program: Program | None = None) -> tuple:
+    """Bit-comparable summary of one run: every task's worker, pop, start
+    and end time, the makespan and the bytes moved.
+
+    With ``program``, the placements are the engine's per-task
+    ``sched["_record"]``, available at every record level; read them
+    right after the run, since the program's next run resets them.
+    Without it they come from the run's ``TaskEnd`` events
+    (``record_level="tasks"`` or above) — the way to fingerprint a
+    stream run, whose merged program stays inside ``run_stream``.
+    """
+    if program is not None:
+        records = [
+            (t.tid, *t.sched["_record"])
+            for t in program.tasks
+            if "_record" in t.sched  # cancelled tasks never ran
+        ]
+    else:
+        assert res.events is not None, (
+            "fingerprint needs the program or record_level='tasks'"
+        )
+        records = [
+            (e.tid, e.wid, e.pop_time, e.start, e.end)
+            for e in res.events
+            if isinstance(e, TaskEnd)
+        ]
+    return (tuple(sorted(records)), res.makespan, res.bytes_transferred)
+
+
+def _fingerprinted(
+    program: Program, machine: MachineModel, scheduler: str, **kwargs
+) -> tuple:
+    """Run ``program`` and fingerprint it before anything runs it again."""
+    res, _ = _run(program, machine, scheduler, **kwargs)
+    return fingerprint(res, program)
 
 
 def _wire_us(sim: Simulator) -> float:
@@ -192,43 +218,34 @@ def check_determinism(
 ) -> list[CheckOutcome]:
     """Repeats and observability/checker flags must not move a single task."""
     out = []
-    base, _ = _run(program, machine, scheduler, record_trace=True)
-    again, _ = _run(program, machine, scheduler, record_trace=True)
+    base = _fingerprinted(program, machine, scheduler)
     out.append(CheckOutcome(
         f"determinism.repeat[{name}/{scheduler}]",
-        fingerprint(base) == fingerprint(again),
+        base == _fingerprinted(program, machine, scheduler),
         "two identical noise-free runs diverged",
     ))
-    checked, _ = _run(
-        program, machine, scheduler, record_trace=True, check_invariants=True
-    )
     out.append(CheckOutcome(
         f"determinism.checker[{name}/{scheduler}]",
-        fingerprint(base) == fingerprint(checked),
+        base == _fingerprinted(
+            program, machine, scheduler, check_invariants=True
+        ),
         "enabling the invariant checker perturbed the schedule",
     ))
-    recorded, _ = _run(
-        program, machine, scheduler, record_trace=True, record_level="decisions"
-    )
     out.append(CheckOutcome(
         f"determinism.record_level[{name}/{scheduler}]",
-        fingerprint(base) == fingerprint(recorded),
+        base == _fingerprinted(
+            program, machine, scheduler, record_level="decisions"
+        ),
         "record_level=decisions perturbed the schedule",
-    ))
-    untraced, _ = _run(program, machine, scheduler, record_trace=False)
-    out.append(CheckOutcome(
-        f"determinism.record_trace[{name}/{scheduler}]",
-        (untraced.makespan, untraced.bytes_transferred)
-        == (base.makespan, base.bytes_transferred),
-        "record_trace toggled the makespan or traffic",
     ))
 
     cp, ww = makespan_lower_bounds(program, machine)
     bound = max(cp, ww)
+    makespan = base[1]
     out.append(CheckOutcome(
         f"bounds.makespan[{name}/{scheduler}]",
-        base.makespan >= bound - _EPS,
-        f"makespan {base.makespan:.3f}us beat the lower bound "
+        makespan >= bound - _EPS,
+        f"makespan {makespan:.3f}us beat the lower bound "
         f"max(critical-path {cp:.3f}, work/width {ww:.3f})us",
     ))
     return out
@@ -238,14 +255,14 @@ def check_fault_free_equivalence(
     name: str, program: Program, machine: MachineModel, scheduler: str
 ) -> CheckOutcome:
     """An all-zero fault model must be indistinguishable from none."""
-    plain, _ = _run(program, machine, scheduler, record_trace=True)
-    zeroed, _ = _run(
-        program, machine, scheduler, record_trace=True,
+    plain = _fingerprinted(program, machine, scheduler)
+    zeroed = _fingerprinted(
+        program, machine, scheduler,
         fault_model=FaultModel(task_failure_rate=0.0, seed=0),
     )
     return CheckOutcome(
         f"faults.zero_rate[{name}/{scheduler}]",
-        fingerprint(plain) == fingerprint(zeroed),
+        plain == zeroed,
         "a zero-rate FaultModel perturbed the fault-free run",
     )
 
@@ -260,15 +277,14 @@ def check_window_equivalence(
     window must reproduce the unbounded run bit-for-bit.
     """
     out = []
-    base, _ = _run(program, machine, scheduler, record_trace=True)
+    base = _fingerprinted(program, machine, scheduler)
     for window in (len(program.tasks), 4 * len(program.tasks)):
-        windowed, _ = _run(
-            program, machine, scheduler, record_trace=True,
-            submission_window=window,
+        windowed = _fingerprinted(
+            program, machine, scheduler, submission_window=window
         )
         out.append(CheckOutcome(
             f"window.equivalence[{name}/{scheduler}/w={window}]",
-            fingerprint(base) == fingerprint(windowed),
+            base == windowed,
             f"submission_window={window} (>= {len(program.tasks)} tasks) "
             f"diverged from submission_window=None",
         ))
@@ -304,25 +320,25 @@ def check_batch_equivalence(
     out = []
     if scheduler in _BATCH_INVARIANT_EXCLUDED:
         return out
-    base, _ = _run(program, machine, scheduler, record_trace=True)
+    base = _fingerprinted(program, machine, scheduler)
     for step in (1.0, 250.0, 1e9):
-        batched, _ = _run(
-            program, machine, scheduler, record_trace=True,
+        batched = _fingerprinted(
+            program, machine, scheduler,
             batch_step=step, check_invariants=True,
         )
         out.append(CheckOutcome(
             f"batch.equivalence[{name}/{scheduler}/step={step:g}]",
-            fingerprint(base) == fingerprint(batched),
+            base == batched,
             f"batch_step={step:g} with drain-on-idle diverged from the "
             "per-event path",
         ))
-    nodrain, _ = _run(
-        program, machine, scheduler, record_trace=True,
+    nodrain = _fingerprinted(
+        program, machine, scheduler,
         batch_step=200.0, batch_drain_on_idle=False, check_invariants=True,
     )
     out.append(CheckOutcome(
         f"batch.nodrain_complete[{name}/{scheduler}]",
-        len(nodrain.trace.task_records) == len(program.tasks),
+        len(nodrain[0]) == len(program.tasks),
         "fixed-step batching (no drain) failed to run every task",
     ))
     return out
@@ -422,7 +438,7 @@ def check_control_noop_equivalence(
             tenants=("t0", "t1", "t2"),
             qos=("guaranteed", "burstable", "best-effort"),
         )
-        cfg = SimConfig(record_trace=True)
+        cfg = SimConfig(record_level="tasks")
         plain = SimSpec(
             machine, scheduler, config=cfg, isolated_baseline=False
         ).run_stream(stream)
@@ -487,7 +503,7 @@ def check_rt_noop_equivalence(
 
     out = []
     for scheduler in schedulers:
-        cfg = SimConfig(record_trace=True)
+        cfg = SimConfig(record_level="tasks")
         plain = SimSpec(
             machine, scheduler, config=cfg, isolated_baseline=False
         ).run_stream(_stream(None))
@@ -548,23 +564,24 @@ def check_power_noop_equivalence(
     out = []
     program_of = lambda: cholesky_program(5, 512)  # noqa: E731
     for scheduler in schedulers:
-        plain, _ = _run(program_of(), machine, scheduler, record_trace=True)
-        ladder, _ = _run(
-            program_of(), machine, scheduler, record_trace=True,
+        plain = _fingerprinted(program_of(), machine, scheduler)
+        ladder = _fingerprinted(
+            program_of(), machine, scheduler,
             power=PowerStateModel(), check_invariants=True,
         )
         out.append(CheckOutcome(
             f"power.noop_ladder[{scheduler}]",
-            fingerprint(plain) == fingerprint(ladder),
+            plain == ladder,
             "an uncapped full/eco/sleep ladder perturbed the schedule",
         ))
+        program = program_of()
         metered, sim = _run(
-            program_of(), machine, scheduler, record_trace=True,
+            program, machine, scheduler,
             power=PowerStateModel.metering(), check_invariants=True,
         )
         out.append(CheckOutcome(
             f"power.noop_metering[{scheduler}]",
-            fingerprint(plain) == fingerprint(metered),
+            plain == fingerprint(metered, program),
             "a metering-only power model perturbed the schedule",
         ))
         assert metered.energy is not None
@@ -606,12 +623,11 @@ def check_cluster_single_node_equivalence(
             tenants=("t0", "t1"),
         )
         plain = SimSpec(
-            machine, scheduler, config=SimConfig(record_trace=True)
+            machine, scheduler, config=SimConfig(record_level="tasks")
         ).run_stream(stream)
-        assert plain.sim.trace is not None
         plain_records = tuple(sorted(
-            (r.tid, r.worker, r.start, r.end)
-            for r in plain.sim.trace.task_records
+            (tid, wid, start, end)
+            for tid, wid, _pop, start, end in fingerprint(plain.sim)[0]
         ))
         clustered = SimSpec(scheduler=scheduler).run_cluster(
             stream, star_cluster(1, machine)

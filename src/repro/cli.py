@@ -18,7 +18,7 @@ import sys
 from typing import Sequence
 
 from repro.api import SimConfig, SimSpec
-from repro.analysis.export import to_chrome_trace, to_csv
+from repro.analysis.export import to_csv
 from repro.apps.dense import cholesky_program, lu_program, qr_program
 from repro.check.differential import DEFAULT_SCHEDULERS, run_differential_suite
 from repro.apps.fmm import fmm_program
@@ -126,21 +126,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     want_trace = bool(args.gantt or args.chrome_trace or args.csv_trace)
     sched_opts = parse_sched_opts(args.sched_opt)
     for name in args.scheduler:
-        spec = SimSpec(
+        sim = SimSpec(
             machine,
             name,
             config=SimConfig(
                 seed=args.seed,
                 noise_sigma=args.noise,
-                record_trace=want_trace,
+                record_level="tasks" if want_trace else "off",
                 submission_window=args.window,
                 faults=fault_model,
                 batch_step=args.batch_step,
                 batch_drain_on_idle=not args.no_batch_drain,
                 sched_params=dict(sched_opts),
             ),
-        )
-        res = spec.run(program)
+        ).simulator()
+        res = sim.run(program)
         if res.faults is not None:
             print(f"{name} faults: " + ", ".join(
                 f"{k}={v:g}" for k, v in res.faults.as_dict().items()
@@ -156,18 +156,22 @@ def cmd_run(args: argparse.Namespace) -> int:
                 ),
             ]
         )
-        if args.gantt and res.trace is not None:
+        if not want_trace:
+            continue
+        workers = sim.platform.workers
+        trace = trace_from_events(res.events, workers)
+        if args.gantt:
             print(f"\n--- {name} ---")
-            print(res.trace.gantt_ascii(width=100))
-        if args.chrome_trace and res.trace is not None:
+            print(trace.gantt_ascii(width=100))
+        if args.chrome_trace:
             path = f"{args.chrome_trace}.{name}.json"
             with open(path, "w") as fh:
-                fh.write(to_chrome_trace(res.trace))
+                fh.write(events_to_chrome(res.events, workers=workers))
             print(f"chrome trace written to {path}")
-        if args.csv_trace and res.trace is not None:
+        if args.csv_trace:
             path = f"{args.csv_trace}.{name}.csv"
             with open(path, "w") as fh:
-                fh.write(to_csv(res.trace))
+                fh.write(to_csv(trace))
             print(f"csv trace written to {path}")
     print()
     print(
@@ -359,7 +363,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             config=SimConfig(
                 seed=args.seed,
                 noise_sigma=args.noise,
-                record_trace=False,
                 record_level=args.level,
                 submission_window=args.window,
                 faults=fault_model,

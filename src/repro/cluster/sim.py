@@ -224,10 +224,9 @@ def simulate_cluster(
     config / isolated_baseline:
         As in :meth:`~repro.api.SimSpec.run_stream`, applied per node
         (``None`` means the default :class:`~repro.api.SimConfig`). The
-        config may not carry a ``perfmodel``, ``faults`` or
-        ``record_trace`` — per-node models are built from each node's
-        own calibration, and fault injection at the cluster tier is not
-        supported yet.
+        config may not carry a ``perfmodel`` or ``faults`` — per-node
+        models are built from each node's own calibration, and fault
+        injection at the cluster tier is not supported yet.
 
     Returns a :class:`~repro.cluster.result.ClusterResult`.
     """
@@ -247,11 +246,6 @@ def simulate_cluster(
     if cfg.faults is not None:
         raise ValidationError(
             "fault injection is not supported at the cluster tier yet"
-        )
-    if cfg.record_trace:
-        raise ValidationError(
-            "record_trace is not supported at the cluster tier; per-node "
-            "task records are always available in the result payloads"
         )
     policy = (
         make_placement(placement, **(placement_params or {}))

@@ -9,11 +9,10 @@ shrinks.
 
 We reproduce the full setup: same workload, same platform shape, per-
 resource idle percentages, makespans, and the practical critical path.
-The whole analysis is regenerated from the observability event stream
-(``record_level="decisions"``) rather than the engine's built-in trace:
-the Gantt, idle fractions and critical path come out of
-:mod:`repro.obs.export`, and the decision counts expose how often the
-pop condition actually fired.
+The Gantt and critical path come from the observability event stream
+(``record_level="decisions"``) through :mod:`repro.obs.export`, the idle
+fractions are the engine's own ``idle_frac_by_arch``, and the decision
+counts expose how often the pop condition actually fired.
 """
 
 from __future__ import annotations
@@ -22,11 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.apps.dense.cholesky import cholesky_program
 from repro.schedulers.multiprio import MultiPrio
-from repro.obs.export import (
-    decision_counts,
-    idle_fractions_from_events,
-    trace_from_events,
-)
+from repro.obs.export import decision_counts, trace_from_events
 from repro.platform.machines import fig4_machine
 from repro.runtime.engine import Simulator
 from repro.runtime.perfmodel import AnalyticalPerfModel
@@ -76,14 +71,12 @@ def run_fig4(n_tiles: int = 20, tile_size: int = 960, seed: int = 0) -> Fig4Resu
             scheduler,
             AnalyticalPerfModel(machine.calibration()),
             seed=seed,
-            record_trace=False,
             record_level="decisions",
         )
         res = sim.run(program)
         assert res.events is not None
-        workers = sim.platform.workers
-        trace = trace_from_events(res.events, workers)
-        idle = idle_fractions_from_events(res.events, workers)
+        trace = trace_from_events(res.events, sim.platform.workers)
+        idle = res.idle_frac_by_arch
         pcp = trace.practical_critical_path(program.tasks)
         variants[eviction] = Fig4Variant(
             label="with eviction" if eviction else "without eviction",

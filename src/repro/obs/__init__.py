@@ -12,8 +12,13 @@ runtime engine and every scheduler:
 * :mod:`repro.obs.metrics` — counters, virtual-time-weighted gauges and
   the snapshot exposed on :class:`~repro.runtime.engine.SimResult`;
 * :mod:`repro.obs.export` — JSONL and Chrome-trace/Perfetto exporters
-  plus event-stream analyses (rebuilt traces, idle fractions, decision
-  counts, critical-path summary reports).
+  plus event-stream analyses (:class:`~repro.runtime.trace.Trace`
+  views, decision counts, critical-path summary reports).
+
+The event stream is the only record of what ran: the engine keeps no
+trace of its own, and :func:`~repro.obs.export.trace_from_events` is
+the one way to build a :class:`~repro.runtime.trace.Trace` (Gantt,
+per-worker idle fractions, practical critical path).
 
 Quick tour::
 
@@ -50,7 +55,6 @@ from repro.obs.export import (
     events_from_jsonl,
     events_to_chrome,
     events_to_jsonl,
-    idle_fractions_from_events,
     summary_report,
     trace_from_events,
 )
@@ -88,7 +92,6 @@ __all__ = [
     "events_from_jsonl",
     "events_to_chrome",
     "trace_from_events",
-    "idle_fractions_from_events",
     "decision_counts",
     "summary_report",
 ]

@@ -10,13 +10,10 @@ and the simulation stays bit-identical to a build without the subsystem.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from repro.obs.events import Event, RecordLevel
 from repro.obs.metrics import MetricsCollector, MetricsRegistry, MetricsSnapshot
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.platform_config import Platform
 
 Subscriber = Callable[[Event], None]
 
@@ -76,8 +73,7 @@ class Observability:
         self.metrics = MetricsRegistry()
         self.events: list[Event] = []
         self.keep_events = keep_events
-        self._collector = MetricsCollector(self.metrics)
-        self.bus.subscribe(self._collector.on_event)
+        self.bus.subscribe(MetricsCollector(self.metrics).on_event)
         if keep_events:
             self.bus.subscribe(self.events.append)
 
@@ -95,19 +91,21 @@ class Observability:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def begin_run(self, platform: "Platform") -> None:
-        """Reset per-run state and bind the platform topology."""
+    def begin_run(self) -> None:
+        """Reset per-run state."""
         self.events.clear()
         self.metrics.reset()
-        self._collector.bind_platform(platform)
 
     def emit(self, event: Event) -> None:
         """Publish one event on the bus."""
         self.bus.emit(event)
 
-    def snapshot(self, makespan: float) -> MetricsSnapshot:
-        """Freeze the metrics, deriving idle fractions from the stream."""
+    def snapshot(
+        self, makespan: float, idle_by_arch: dict[str, float]
+    ) -> MetricsSnapshot:
+        """Freeze the metrics with the engine's makespan and its
+        per-architecture idle fractions (``SimResult.idle_frac_by_arch``)."""
         derived = {"makespan_us": makespan}
-        for arch, frac in sorted(self._collector.idle_fractions(makespan).items()):
+        for arch, frac in sorted(idle_by_arch.items()):
             derived[f"idle_frac.{arch}"] = frac
         return self.metrics.snapshot(t_end=makespan, derived=derived)

@@ -25,7 +25,7 @@ from repro.obs.events import (
     WorkerDeath,
     event_from_dict,
 )
-from repro.runtime.trace import TaskRecord, Trace
+from repro.runtime.trace import TaskRecord, Trace, TransferRecord
 from repro.runtime.worker import Worker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -209,44 +209,26 @@ def events_to_chrome(
 
 
 def trace_from_events(events: Sequence[Event], workers: Sequence[Worker]) -> Trace:
-    """Rebuild a :class:`~repro.runtime.trace.Trace` from an event stream.
+    """Build the :class:`~repro.runtime.trace.Trace` of an event stream.
 
-    Only ``task_end`` and ``transfer`` events are needed, so a JSONL dump
-    is enough to regenerate every Trace analysis (Gantt, idle fractions,
-    practical critical path) without re-running the simulation.
+    Only ``task_end``, ``transfer`` and ``worker_death`` events are
+    needed, so a JSONL dump is enough to regenerate every Trace analysis
+    (Gantt, idle fractions, practical critical path) without re-running
+    the simulation.
     """
     trace = Trace(list(workers))
     for ev in events:
         if isinstance(ev, TaskEnd):
-            rec = TaskRecord(
+            trace.task_records.append(TaskRecord(
                 ev.tid, ev.type_name, ev.wid, ev.node, ev.pop_time, ev.start, ev.end
-            )
-            trace.task_records.append(rec)
-            trace._by_tid[ev.tid] = rec
+            ))
         elif isinstance(ev, TransferEvent):
-            trace.record_transfer(ev.hid, ev.src, ev.dst, ev.nbytes, ev.start, ev.end)
+            trace.transfer_records.append(TransferRecord(
+                ev.hid, ev.src, ev.dst, ev.nbytes, ev.start, ev.end
+            ))
+        elif isinstance(ev, WorkerDeath):
+            trace.death_us[ev.wid] = ev.t
     return trace
-
-
-def idle_fractions_from_events(
-    events: Sequence[Event], workers: Sequence[Worker]
-) -> dict[str, float]:
-    """Per-architecture idle fractions, the engine's formula, from events."""
-    busy: dict[int, float] = {w.wid: 0.0 for w in workers}
-    makespan = 0.0
-    for ev in events:
-        if isinstance(ev, TaskEnd):
-            busy[ev.wid] = busy.get(ev.wid, 0.0) + ev.end - ev.pop_time
-            makespan = max(makespan, ev.end)
-    fracs: dict[str, float] = {}
-    for arch in sorted({w.arch for w in workers}):
-        wids = [w.wid for w in workers if w.arch == arch]
-        if not wids or makespan <= 0:
-            fracs[arch] = 0.0
-            continue
-        per = [max(0.0, 1.0 - busy[wid] / makespan) for wid in wids]
-        fracs[arch] = sum(per) / len(per)
-    return fracs
 
 
 def decision_counts(events: Sequence[Event]) -> dict[str, int]:

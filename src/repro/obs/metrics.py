@@ -23,7 +23,6 @@ from repro.utils.validation import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.events import Event
-    from repro.runtime.platform_config import Platform
 
 
 class Counter:
@@ -139,8 +138,8 @@ class Gauge:
 class MetricsSnapshot:
     """Immutable end-of-run view of every counter and gauge.
 
-    ``derived`` holds quantities computed from the event stream at
-    snapshot time (per-architecture idle fractions, makespan).
+    ``derived`` holds the engine's end-of-run figures: the makespan and
+    its per-architecture idle fractions (``idle_frac.<arch>``).
     """
 
     counters: dict[str, float] = field(default_factory=dict)
@@ -199,30 +198,14 @@ class MetricsRegistry:
 
 
 class MetricsCollector:
-    """Event-stream subscriber deriving the standard engine metrics.
+    """Event-stream subscriber deriving the standard engine counters.
 
-    Counts completions, retries, faults and decisions; accumulates
-    per-link transfer bytes; tracks per-worker busy/wait time so
-    :meth:`idle_fractions` reproduces the engine's per-architecture idle
-    accounting purely from events.
+    Counts completions, retries, faults and decisions and accumulates
+    per-link transfer bytes, purely from events.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self._busy: dict[int, float] = {}
-        self._wait: dict[int, float] = {}
-        self._arch_of: dict[int, str] = {}
-
-    def bind_platform(self, platform: "Platform") -> None:
-        """Learn the worker -> architecture map for idle accounting."""
-        self._arch_of = {w.wid: w.arch for w in platform.workers}
-        self._busy = {w.wid: 0.0 for w in platform.workers}
-        self._wait = {w.wid: 0.0 for w in platform.workers}
-
-    def reset(self) -> None:
-        """Per-run reset (keeps the platform binding)."""
-        self._busy = {wid: 0.0 for wid in self._arch_of}
-        self._wait = {wid: 0.0 for wid in self._arch_of}
 
     def on_event(self, event: "Event") -> None:
         """Bus subscription entry point."""
@@ -231,12 +214,6 @@ class MetricsCollector:
         if kind == "task_end":
             reg.counter("tasks_completed").inc()
             reg.counter(f"exec_us.{event.type_name}").inc(event.end - event.start)  # type: ignore[attr-defined]
-            self._busy[event.wid] = (  # type: ignore[attr-defined]
-                self._busy.get(event.wid, 0.0) + event.end - event.start  # type: ignore[attr-defined]
-            )
-            self._wait[event.wid] = (  # type: ignore[attr-defined]
-                self._wait.get(event.wid, 0.0) + event.start - event.pop_time  # type: ignore[attr-defined]
-            )
         elif kind == "transfer":
             reg.counter(f"link_bytes.{event.src}->{event.dst}").inc(event.nbytes)  # type: ignore[attr-defined]
             reg.counter("transfers").inc()
@@ -249,13 +226,3 @@ class MetricsCollector:
             reg.counter("worker_deaths").inc()
         elif kind == "decision":
             reg.counter(f"decisions.{event.action}").inc()  # type: ignore[attr-defined]
-
-    def idle_fractions(self, makespan: float) -> dict[str, float]:
-        """Per-architecture mean idle fraction, the engine's formula."""
-        by_arch: dict[str, list[float]] = {}
-        if makespan <= 0:
-            return {arch: 0.0 for arch in set(self._arch_of.values())}
-        for wid, arch in self._arch_of.items():
-            occupied = self._busy.get(wid, 0.0) + self._wait.get(wid, 0.0)
-            by_arch.setdefault(arch, []).append(max(0.0, 1.0 - occupied / makespan))
-        return {arch: sum(fr) / len(fr) for arch, fr in by_arch.items()}

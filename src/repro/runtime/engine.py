@@ -14,9 +14,12 @@ the current execution (StarPU's worker lookahead / prefetch-on-pop). The
 pipeline can be disabled to study the unoverlapped behaviour.
 
 Everything else (data transfers with per-link contention, MSI replica
-management, history feedback into the performance model, trace capture)
-happens inside the engine so every scheduler is compared under identical
-runtime behaviour.
+management, history feedback into the performance model) happens inside
+the engine so every scheduler is compared under identical runtime
+behaviour. The engine records what ran only as the
+:mod:`repro.obs` event stream (``record_level="tasks"``);
+:func:`repro.obs.export.trace_from_events` turns it into a
+:class:`~repro.runtime.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from repro.runtime.power import EnergyReport, PowerLedger, PowerStateModel
 from repro.runtime.resources import ResourceLedger, ResourceProtocol
 from repro.runtime.stf import Program
 from repro.runtime.task import Task, TaskState
-from repro.runtime.trace import Trace
+from repro.runtime.trace import worker_idle_fraction
 from repro.runtime.worker import Worker
 from repro.utils.rng import make_rng
 from repro.utils.validation import (
@@ -242,7 +245,13 @@ class SchedContext:
 
 @dataclass
 class SimResult:
-    """Outcome of one simulated execution."""
+    """Outcome of one simulated execution.
+
+    Aggregates only; per-task records live in :attr:`events` (set by
+    ``record_level``), from which
+    :func:`~repro.obs.export.trace_from_events` builds a
+    :class:`~repro.runtime.trace.Trace`.
+    """
 
     makespan: float
     n_tasks: int
@@ -252,7 +261,6 @@ class SimResult:
     idle_frac_by_arch: dict[str, float]
     forced_pops: int
     scheduler_stats: dict[str, float] = field(default_factory=dict)
-    trace: Trace | None = None
     #: Fault bookkeeping; ``None`` when the run had no fault model.
     faults: FaultStats | None = None
     #: Structured event stream; ``None`` unless ``record_level`` enabled it.
@@ -299,9 +307,6 @@ class Simulator:
         Source of δ(t, a) estimates and actual execution times.
     seed:
         RNG seed for execution noise.
-    record_trace:
-        Capture a full :class:`Trace` (needed for Gantt / idle / critical
-        path analyses; costs memory on large programs).
     pipeline:
         Enable StarPU-style worker lookahead: each worker stages its next
         task while executing, overlapping the staged task's transfers.
@@ -325,7 +330,11 @@ class Simulator:
         and metrics; ``"decisions"`` adds scheduler decision provenance.
         The bound :class:`~repro.obs.bus.Observability` instance is
         exposed as ``self.obs``; the captured stream and metrics
-        snapshot land on :class:`SimResult`.
+        snapshot land on :class:`SimResult`. The stream is the only
+        record of what ran: ``trace_from_events(res.events,
+        sim.platform.workers)`` builds the run's
+        :class:`~repro.runtime.trace.Trace` (Gantt, per-worker idle,
+        practical critical path).
     check_invariants:
         Attach the :mod:`repro.check` validator, which re-verifies MSI
         coherence, link clocks, task conservation and the scheduler's
@@ -393,7 +402,6 @@ class Simulator:
         perfmodel: "PerfModel",
         *,
         seed: int | np.random.Generator | None = None,
-        record_trace: bool = True,
         pipeline: bool = True,
         submission_window: int | None = None,
         fault_model: FaultModel | None = None,
@@ -418,7 +426,6 @@ class Simulator:
         self.scheduler = scheduler
         self.perfmodel = perfmodel
         self.rng = make_rng(seed)
-        self.record_trace = record_trace
         self.pipeline = pipeline
         self.submission_window = submission_window
         self.fault_model = fault_model
@@ -451,7 +458,7 @@ class Simulator:
         ctx.reset()
         obs = self.obs
         if obs is not None:
-            obs.begin_run(self.platform)
+            obs.begin_run()
         self.platform.transfers.observer = obs
         emit = obs.emit if obs is not None else None
         scheduler = self.scheduler
@@ -460,7 +467,6 @@ class Simulator:
 
         self._validate_program(program)
 
-        trace = Trace(self.platform.workers) if self.record_trace else None
         events: list[tuple[float, int, int, object]] = []
         seq = 0
         n_done = 0
@@ -500,7 +506,8 @@ class Simulator:
         busy_by_worker: list[float] = [0.0] * n_workers
         wait_by_worker: list[float] = [0.0] * n_workers
         # Fail-stop death times; a dead worker's idle fraction is taken
-        # over its lifetime, not the whole makespan.
+        # over its lifetime, not the whole makespan
+        # (worker_idle_fraction).
         death_time: dict[int, float] = {}
 
         # Batch-mode scheduling state (Firmament-style): ready tasks
@@ -819,11 +826,6 @@ class Simulator:
                     transfers.touch(handle, node, now)
                 else:
                     done = transfers.fetch(handle, node, now)
-                    if trace is not None and done > now:
-                        src = transfers.fetch_source(handle.hid, node)
-                        trace.record_transfer(
-                            handle.hid, src, node, handle.size, now, done
-                        )
                     if done > arrival:
                         arrival = done
                 pins = handle._pins  # transfers.pin() inlined (hot path)
@@ -1009,8 +1011,6 @@ class Simulator:
                         worker, task.sched["_pstate"], end - start
                     )
                 self.perfmodel.record(task, worker.arch, end - start)
-                if trace is not None:
-                    trace.record_task(task, worker, pop_time, start, end)
                 if emit is not None:
                     emit(
                         TaskEnd(
@@ -1275,22 +1275,15 @@ class Simulator:
         )
         idle_by_arch: dict[str, float] = {}
         for arch in self.platform.archs:
-            arch_workers = self.platform.workers_of_arch(arch)
-            if not arch_workers or makespan <= 0:
-                idle_by_arch[arch] = 0.0
-                continue
-            fracs = []
-            for w in arch_workers:
-                # A worker lost to a fail-stop failure only existed up to
-                # its death; judging it against the full makespan would
-                # read an early casualty as ~100% idle.
-                horizon = min(makespan, death_time.get(w.wid, makespan))
-                if horizon <= 0:
-                    fracs.append(0.0)
-                    continue
-                active = busy_by_worker[w.wid] + wait_by_worker[w.wid]
-                fracs.append(max(0.0, 1.0 - active / horizon))
-            idle_by_arch[arch] = sum(fracs) / len(fracs)
+            fracs = [
+                worker_idle_fraction(
+                    busy_by_worker[w.wid] + wait_by_worker[w.wid],
+                    makespan,
+                    death_time.get(w.wid),
+                )
+                for w in self.platform.workers_of_arch(arch)
+            ]
+            idle_by_arch[arch] = sum(fracs) / len(fracs) if fracs else 0.0
 
         return SimResult(
             makespan=makespan,
@@ -1301,10 +1294,11 @@ class Simulator:
             idle_frac_by_arch=idle_by_arch,
             forced_pops=forced_pops,
             scheduler_stats=scheduler.stats(),
-            trace=trace,
             faults=faults,
             events=tuple(obs.events) if obs is not None else None,
-            metrics=obs.snapshot(makespan) if obs is not None else None,
+            metrics=(
+                obs.snapshot(makespan, idle_by_arch) if obs is not None else None
+            ),
             n_cancelled=n_cancelled,
             batch_stats=(
                 {

@@ -220,9 +220,6 @@ class TransferEngine:
         self.n_overcommits = 0
         #: Observability channel (bound per run by the engine; None = off).
         self.observer: "Observability | None" = None
-        # Source node of the most recent committed fetch per (hid, dst):
-        # the transfer-provenance record behind Trace.record_transfer.
-        self._fetch_src: dict[tuple[int, int], int] = {}
 
     # -- introspection -----------------------------------------------------
 
@@ -238,12 +235,6 @@ class TransferEngine:
         """Bytes moved across all links since the last reset."""
         return sum(link.bytes_moved for link in self._links.values())
 
-    def fetch_source(self, hid: int, dst: int) -> int:
-        """Source node that served the last committed fetch of ``hid``
-        toward ``dst`` (``-1`` when no transfer was ever committed, e.g.
-        the replica was already resident)."""
-        return self._fetch_src.get((hid, dst), -1)
-
     def reset_runtime_state(self) -> None:
         """Reset all link clocks, counters and residency tracking."""
         for link in self._links.values():
@@ -254,7 +245,6 @@ class TransferEngine:
             self._usage[mid] = 0
         self.n_evictions = 0
         self.n_overcommits = 0
-        self._fetch_src.clear()
 
     # -- capacity / LRU residency ------------------------------------------
 
@@ -448,8 +438,6 @@ class TransferEngine:
                         begin, clock, prefetch,
                     )
                 )
-        if best_route:
-            self._fetch_src[(handle.hid, dst)] = best_route[0].src
         handle.valid_nodes.add(dst)
         handle._in_flight[dst] = clock
         self._account_insert(handle, dst, now)
@@ -515,8 +503,6 @@ class TransferEngine:
                         begin, clock, False,
                     )
                 )
-        if best_route:
-            self._fetch_src[(handle.hid, dst)] = best_route[0].src
         return clock
 
     def _route_links(self, src: int, dst: int) -> tuple[Link, ...] | None:

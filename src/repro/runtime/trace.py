@@ -4,14 +4,35 @@ This is the repository's StarVZ-lite: enough trace tooling to reproduce
 the elements of the paper's Fig. 4 — per-resource idle percentages, the
 makespan, and the *practical critical path* (the chain of records in
 which each task was the one actually delaying the next).
+
+A :class:`Trace` is a view of a run's event stream: build one with
+:func:`repro.obs.export.trace_from_events` from a run recorded at
+``record_level="tasks"`` (or from a JSONL dump of one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.runtime.task import Task
 from repro.runtime.worker import Worker
+
+
+def worker_idle_fraction(
+    occupied: float, makespan: float, death: float | None = None
+) -> float:
+    """Fraction of a worker's lifetime spent neither executing nor
+    waiting on data; ``occupied`` is its busy plus data-wait time.
+
+    A worker lost to a fail-stop failure at ``death`` only existed up to
+    then; judging it against the full makespan would read an early
+    casualty as ~100% idle. Per-architecture means of this value are
+    the idle percentages of Fig. 4.
+    """
+    horizon = makespan if death is None else min(makespan, death)
+    if horizon <= 0:
+        return 0.0
+    return max(0.0, 1.0 - occupied / horizon)
 
 
 @dataclass(frozen=True)
@@ -49,26 +70,15 @@ class TransferRecord:
     end: float
 
 
+@dataclass
 class Trace:
-    """Ordered collection of task (and optional transfer) records."""
+    """The task (and transfer) records of one run, in completion order."""
 
-    def __init__(self, workers: list[Worker]) -> None:
-        self.workers = workers
-        self.task_records: list[TaskRecord] = []
-        self.transfer_records: list[TransferRecord] = []
-        self._by_tid: dict[int, TaskRecord] = {}
-
-    # -- recording ---------------------------------------------------------
-
-    def record_task(self, task: Task, worker: Worker, pop_time: float, start: float, end: float) -> None:
-        """Append one task execution record."""
-        rec = TaskRecord(task.tid, task.type_name, worker.wid, worker.memory_node, pop_time, start, end)
-        self.task_records.append(rec)
-        self._by_tid[task.tid] = rec
-
-    def record_transfer(self, hid: int, src: int, dst: int, nbytes: int, start: float, end: float) -> None:
-        """Append one transfer record."""
-        self.transfer_records.append(TransferRecord(hid, src, dst, nbytes, start, end))
+    workers: list[Worker]
+    task_records: list[TaskRecord] = field(default_factory=list)
+    transfer_records: list[TransferRecord] = field(default_factory=list)
+    #: Fail-stop death time per worker id.
+    death_us: dict[int, float] = field(default_factory=dict)
 
     # -- aggregate metrics ---------------------------------------------------
 
@@ -85,20 +95,15 @@ class Trace:
         return sum(r.wait_time for r in self.task_records if r.worker == wid)
 
     def idle_fraction(self, wid: int) -> float:
-        """Fraction of the makespan worker ``wid`` spent neither executing
-        nor waiting on data. Matches the idle percentages of Fig. 4."""
-        span = self.makespan()
-        if span <= 0:
-            return 0.0
-        occupied = self.busy_time(wid) + self.wait_time(wid)
-        return max(0.0, 1.0 - occupied / span)
-
-    def idle_fraction_by_arch(self, arch: str) -> float:
-        """Mean idle fraction over all workers of one architecture."""
-        wids = [w.wid for w in self.workers if w.arch == arch]
-        if not wids:
-            return 0.0
-        return sum(self.idle_fraction(w) for w in wids) / len(wids)
+        """Idle fraction of worker ``wid``, the engine's formula
+        (:func:`worker_idle_fraction`). Records are completed attempts
+        only, so under faults, where the engine also counts aborted
+        attempts as occupied, this can exceed the engine's figure."""
+        return worker_idle_fraction(
+            self.busy_time(wid) + self.wait_time(wid),
+            self.makespan(),
+            self.death_us.get(wid),
+        )
 
     def per_worker_summary(self) -> list[dict[str, float | int | str]]:
         """One summary row per worker: busy/wait/idle breakdown."""
@@ -118,7 +123,7 @@ class Trace:
 
     def record_of(self, tid: int) -> TaskRecord | None:
         """The execution record of task ``tid`` if it ran."""
-        return self._by_tid.get(tid)
+        return next((r for r in self.task_records if r.tid == tid), None)
 
     # -- practical critical path ----------------------------------------------
 
@@ -134,6 +139,7 @@ class Trace:
         if not self.task_records:
             return []
         by_tid = {t.tid: t for t in tasks}
+        record_of = {r.tid: r for r in self.task_records}
         # Previous record on the same worker, by end time.
         per_worker: dict[int, list[TaskRecord]] = {}
         for rec in self.task_records:
@@ -152,7 +158,7 @@ class Trace:
             candidates: list[TaskRecord] = []
             if task is not None:
                 candidates.extend(
-                    self._by_tid[p.tid] for p in task.preds if p.tid in self._by_tid
+                    record_of[p.tid] for p in task.preds if p.tid in record_of
                 )
             worker_prev = prev_on_worker.get(current.tid)
             if worker_prev is not None:

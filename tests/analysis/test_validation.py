@@ -5,9 +5,9 @@ import pytest
 from repro.analysis.validation import check_schedule
 from repro.runtime.stf import TaskFlow
 from repro.runtime.task import AccessMode
-from repro.runtime.trace import Trace
 from repro.runtime.worker import Worker
 from repro.utils.validation import ValidationError
+from tests.conftest import make_trace
 
 
 @pytest.fixture
@@ -23,34 +23,39 @@ def setup():
 
 def test_valid_schedule_passes(setup):
     program, workers, (a, b) = setup
-    trace = Trace(workers)
-    trace.record_task(a, workers[0], 0, 0, 5)
-    trace.record_task(b, workers[0], 5, 5, 8)
+    trace = make_trace(
+        workers,
+        (a, workers[0], 0, 0, 5),
+        (b, workers[0], 5, 5, 8),
+    )
     check_schedule(program, trace, workers)
 
 
 def test_missing_task_detected(setup):
     program, workers, (a, _) = setup
-    trace = Trace(workers)
-    trace.record_task(a, workers[0], 0, 0, 5)
+    trace = make_trace(workers, (a, workers[0], 0, 0, 5))
     with pytest.raises(ValidationError, match="records"):
         check_schedule(program, trace, workers)
 
 
 def test_dependency_violation_detected(setup):
     program, workers, (a, b) = setup
-    trace = Trace(workers)
-    trace.record_task(a, workers[0], 0, 0, 5)
-    trace.record_task(b, workers[1], 0, 3, 6)  # starts before a ends
+    trace = make_trace(
+        workers,
+        (a, workers[0], 0, 0, 5),
+        (b, workers[1], 0, 3, 6),  # starts before a ends
+    )
     with pytest.raises(ValidationError, match="before predecessor"):
         check_schedule(program, trace, workers)
 
 
 def test_worker_overlap_detected(setup):
     program, workers, (a, b) = setup
-    trace = Trace(workers)
-    trace.record_task(a, workers[0], 0, 0, 5)
-    trace.record_task(b, workers[0], 5, 4.5, 8)  # overlaps on worker 0
+    trace = make_trace(
+        workers,
+        (a, workers[0], 0, 0, 5),
+        (b, workers[0], 5, 4.5, 8),  # overlaps on worker 0
+    )
     with pytest.raises(ValidationError):
         check_schedule(program, trace, workers)
 
@@ -61,16 +66,17 @@ def test_wrong_architecture_detected():
     t = flow.submit("t", [(h, AccessMode.W)], implementations=("cuda",))
     program = flow.program()
     workers = [Worker(0, "cpu", 0)]
-    trace = Trace(workers)
-    trace.record_task(t, workers[0], 0, 0, 1)
+    trace = make_trace(workers, (t, workers[0], 0, 0, 1))
     with pytest.raises(ValidationError, match="without an implementation"):
         check_schedule(program, trace, workers)
 
 
 def test_inconsistent_timestamps_detected(setup):
     program, workers, (a, b) = setup
-    trace = Trace(workers)
-    trace.record_task(a, workers[0], 0, 0, 5)
-    trace.record_task(b, workers[1], 9, 9, 8)  # end < start
+    trace = make_trace(
+        workers,
+        (a, workers[0], 0, 0, 5),
+        (b, workers[1], 9, 9, 8),  # end < start
+    )
     with pytest.raises(ValidationError, match="timestamps"):
         check_schedule(program, trace, workers)

@@ -26,7 +26,6 @@ def run(program, machine, scheduler="multiprio", **kw):
         make_scheduler(scheduler),
         AnalyticalPerfModel(machine.calibration()),
         seed=0,
-        record_trace=kw.pop("record_trace", True),
         **kw,
     )
     return sim.run(program)
@@ -35,21 +34,26 @@ def run(program, machine, scheduler="multiprio", **kw):
 class TestFingerprint:
     def test_identical_runs_agree(self, hetero_machine):
         program = cholesky_program(5, 384)
-        a = fingerprint(run(program, hetero_machine))
-        b = fingerprint(run(program, hetero_machine))
+        a = fingerprint(run(program, hetero_machine), program)
+        b = fingerprint(run(program, hetero_machine), program)
         assert a == b
 
     def test_covers_every_task(self, hetero_machine):
         program = cholesky_program(5, 384)
-        records, makespan, _ = fingerprint(run(program, hetero_machine))
+        records, makespan, _ = fingerprint(run(program, hetero_machine), program)
         assert len(records) == len(program.tasks)
-        assert makespan == max(end for _, _, _, end in records)
+        assert makespan == max(end for *_, end in records)
 
     def test_scheduler_change_shows_up(self, hetero_machine):
         program = cholesky_program(5, 384)
-        a = fingerprint(run(program, hetero_machine, "multiprio"))
-        b = fingerprint(run(program, hetero_machine, "eager"))
+        a = fingerprint(run(program, hetero_machine, "multiprio"), program)
+        b = fingerprint(run(program, hetero_machine, "eager"), program)
         assert a != b
+
+    def test_event_records_match_task_records(self, hetero_machine):
+        program = cholesky_program(5, 384)
+        res = run(program, hetero_machine, record_level="tasks")
+        assert fingerprint(res) == fingerprint(res, program)
 
 
 class TestLowerBounds:
@@ -85,7 +89,7 @@ class TestSuite:
         assert names == {
             "invariants", "invariants+faults", "determinism.repeat",
             "determinism.checker", "determinism.record_level",
-            "determinism.record_trace", "bounds.makespan",
+            "bounds.makespan",
             "faults.zero_rate", "window.equivalence", "pipeline.bound",
             "control.noop", "control.noop_ledger",
             "cluster.single_node", "cluster.single_node_jobs",

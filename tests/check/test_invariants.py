@@ -27,7 +27,6 @@ def build(scheduler="eager", *, machine=None, sched=None, **kw):
         sched if sched is not None else make_scheduler(scheduler),
         AnalyticalPerfModel(machine.calibration()),
         seed=0,
-        record_trace=kw.pop("record_trace", False),
         check_invariants=kw.pop("check_invariants", True),
         **kw,
     )
@@ -87,11 +86,11 @@ class TestCleanRunsPass:
 
     def test_checker_does_not_perturb_the_schedule(self):
         program = cholesky_program(5, 384)
-        checked = build("multiprio", record_trace=True).run(program)
-        plain = build(
-            "multiprio", record_trace=True, check_invariants=False
-        ).run(program)
-        assert fingerprint(checked) == fingerprint(plain)
+        checked = fingerprint(build("multiprio").run(program), program)
+        plain = fingerprint(
+            build("multiprio", check_invariants=False).run(program), program
+        )
+        assert checked == plain
 
 
 class TestCorruptionCaught:
@@ -128,7 +127,7 @@ class TestCorruptionCaught:
         sched = Saboteur(5, corrupt)
         sim = Simulator(
             platform, sched, AnalyticalPerfModel(machine.calibration()),
-            seed=0, record_trace=False, check_invariants=True,
+            seed=0, check_invariants=True,
         )
         with pytest.raises(InvariantError, match=r"\[link\]"):
             sim.run(program)
@@ -179,7 +178,7 @@ class TestCorruptionCaught:
         sim = Simulator(
             machine.platform(), sched,
             AnalyticalPerfModel(machine.calibration()),
-            seed=0, record_trace=False, record_level="tasks",
+            seed=0, record_level="tasks",
             check_invariants=True,
         )
         with pytest.raises(InvariantError):

@@ -84,11 +84,12 @@ class TestBasics:
 
     def test_unsupported_config_knobs_rejected(self):
         from repro.api import SimConfig
+        from repro.runtime.faults import FaultModel
 
-        with pytest.raises(ValidationError, match="record_trace"):
+        with pytest.raises(ValidationError, match="fault injection"):
             simulate_cluster(
                 _stream(2), star_cluster(2),
-                config=SimConfig(record_trace=True),
+                config=SimConfig(faults=FaultModel(task_failure_rate=0.1)),
             )
 
     def test_unknown_placement_rejected(self):

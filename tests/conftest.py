@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.events import TaskEnd, WorkerDeath
+from repro.obs.export import trace_from_events
 from repro.platform.machines import cpu_only, small_hetero
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import Program, TaskFlow
@@ -32,6 +34,25 @@ def cpu_machine():
 def perfmodel(hetero_machine):
     """Deterministic analytical model for the hetero machine."""
     return AnalyticalPerfModel(hetero_machine.calibration())
+
+
+def trace_of(sim, res):
+    """The :class:`~repro.runtime.trace.Trace` of a run recorded at
+    ``record_level="tasks"`` or above."""
+    return trace_from_events(res.events, sim.platform.workers)
+
+
+def make_trace(workers, *runs, deaths=()):
+    """The Trace of hand-written events: ``(task, worker, pop, start,
+    end)`` runs in completion order and ``(worker, time)`` fail-stop
+    deaths."""
+    events = [
+        TaskEnd(end, task.tid, task.type_name, worker.wid, worker.memory_node,
+                pop, start, end)
+        for task, worker, pop, start, end in runs
+    ]
+    events += [WorkerDeath(t, worker.wid, worker.name) for worker, t in deaths]
+    return trace_from_events(events, workers)
 
 
 def make_chain_program(n: int = 5, flops: float = 1e7) -> Program:

@@ -66,11 +66,11 @@ class TestNoopBitIdentity:
         stream = mixed_stream()
         plain = SimSpec(
             "small-hetero", scheduler, isolated_baseline=False,
-            record_trace=True,
+            record_level="tasks",
         ).run_stream(stream)
         controlled = SimSpec(
             "small-hetero", scheduler, control=ControlConfig.unlimited(),
-            isolated_baseline=False, record_trace=True,
+            isolated_baseline=False, record_level="tasks",
         ).run_stream(stream)
         assert fingerprint(plain.sim) == fingerprint(controlled.sim)
         ledger = controlled.control

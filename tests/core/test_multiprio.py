@@ -9,7 +9,7 @@ from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import TaskFlow
 from repro.runtime.task import AccessMode, TaskState
 from repro.utils.validation import ValidationError
-from tests.conftest import make_fork_join_program
+from tests.conftest import make_fork_join_program, trace_of
 
 
 def make_ctx(machine):
@@ -182,9 +182,10 @@ class TestEndToEnd:
             MultiPrio(),
             AnalyticalPerfModel(hetero_machine.calibration()),
             seed=0,
+            record_level="tasks",
         )
         res = sim.run(program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)
         assert res.scheduler_stats["stale_discards"] >= 0
 
     def test_eviction_improves_fig4_style_run(self, hetero_machine):

@@ -14,7 +14,7 @@ from repro.runtime.engine import Simulator
 from repro.runtime.faults import FaultModel
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.schedulers.registry import make_scheduler
-from tests.conftest import make_fork_join_program
+from tests.conftest import make_fork_join_program, trace_of
 
 
 class TestArchPower:
@@ -127,9 +127,10 @@ class TestEnergyAwareScheduler:
                 make_scheduler(name),
                 AnalyticalPerfModel(hetero_machine.calibration()),
                 seed=0,
+                record_level="tasks",
             )
             res = sim.run(program)
-            check_schedule(program, res.trace, sim.platform.workers)
+            check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
     def test_shifts_work_toward_cpus(self, hetero_machine):
         """The relaxation must increase (or keep) the CPU share vs the
@@ -177,11 +178,8 @@ class TestEnergyAwareScheduler:
         })
 
         def run(sched):
-            sim = Simulator(
-                hetero_machine.platform(), sched, pm,
-                seed=0, record_trace=True,
-            )
-            return fingerprint(sim.run(program))
+            sim = Simulator(hetero_machine.platform(), sched, pm, seed=0)
+            return fingerprint(sim.run(program), program)
 
         assert run(make_scheduler(name, power=neutral)) == run(make_scheduler("multiprio"))
 
@@ -205,10 +203,8 @@ class TestEdpMultiPrio:
         pm = AnalyticalPerfModel(hetero_machine.calibration())
 
         def run(sched):
-            sim = Simulator(
-                hetero_machine.platform(), sched, pm, seed=0, record_trace=True
-            )
-            return fingerprint(sim.run(program))
+            sim = Simulator(hetero_machine.platform(), sched, pm, seed=0)
+            return fingerprint(sim.run(program), program)
 
         assert run(by_kwarg) == run(make_scheduler("multiprio-edp"))
 

@@ -37,8 +37,7 @@ def test_mixed_granularity_end_to_end():
     pm = AnalyticalPerfModel(machine.calibration())
     spans = {}
     for name in ("multiprio", "dmdas", "eager"):
-        sim = Simulator(machine.platform(), make_scheduler(name), pm, seed=0,
-                        record_trace=False)
+        sim = Simulator(machine.platform(), make_scheduler(name), pm, seed=0)
         spans[name] = sim.run(program).makespan
     assert spans["multiprio"] <= 1.25 * min(spans.values())
     assert spans["multiprio"] < spans["eager"]

@@ -9,6 +9,7 @@ from repro.runtime.engine import Simulator
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.task import AccessMode
 from repro.schedulers.registry import make_scheduler
+from tests.conftest import trace_of
 
 
 def build(threshold=1e9, partitions=4, bubbles=(5e8, 2e9)):
@@ -69,9 +70,10 @@ class TestExpansion:
             make_scheduler("multiprio"),
             AnalyticalPerfModel(hetero_machine.calibration()),
             seed=0,
+            record_level="tasks",
         )
         res = sim.run(program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
     def test_invalid_spec(self):
         with pytest.raises(Exception):

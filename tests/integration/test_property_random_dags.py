@@ -18,6 +18,7 @@ from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import TaskFlow
 from repro.runtime.task import AccessMode
 from repro.schedulers.registry import make_scheduler
+from tests.conftest import trace_of
 
 MODES = [AccessMode.R, AccessMode.W, AccessMode.RW, AccessMode.COMMUTE]
 IMPLS = [("cpu",), ("cuda",), ("cpu", "cuda")]
@@ -63,9 +64,12 @@ def test_schedulers_produce_feasible_schedules(scheduler, submissions):
     program = build_program(submissions)
     machine = small_hetero(n_cpus=3, n_gpus=1, gpu_streams=2)
     pm = AnalyticalPerfModel(machine.calibration())
-    sim = Simulator(machine.platform(), make_scheduler(scheduler), pm, seed=0)
+    sim = Simulator(
+        machine.platform(), make_scheduler(scheduler), pm, seed=0,
+        record_level="tasks",
+    )
     res = sim.run(program)
-    check_schedule(program, res.trace, sim.platform.workers)
+    check_schedule(program, trace_of(sim, res), sim.platform.workers)
     # Makespan can never beat the communication-free critical path.
     cp = critical_path_length(
         program.tasks,

@@ -59,21 +59,16 @@ class TestObservability:
         assert obs.metrics.snapshot().counters == {}  # pops carry no counter
 
     def test_begin_run_resets(self):
-        class W:
-            def __init__(self, wid, arch):
-                self.wid, self.arch = wid, arch
-
-        class P:
-            workers = [W(0, "cpu")]
-
         obs = Observability("tasks")
         obs.emit(TaskPop(t=0.0, tid=1, wid=0))
         obs.metrics.counter("junk").inc()
-        obs.begin_run(P())
+        obs.begin_run()
         assert obs.events == []
         assert obs.metrics.snapshot().counters == {}
 
     def test_snapshot_derives_makespan(self):
         obs = Observability("tasks")
-        snap = obs.snapshot(42.0)
-        assert snap.derived["makespan_us"] == 42.0
+        snap = obs.snapshot(42.0, {"cuda": 0.25, "cpu": 0.5})
+        assert snap.derived == {
+            "makespan_us": 42.0, "idle_frac.cpu": 0.5, "idle_frac.cuda": 0.25,
+        }

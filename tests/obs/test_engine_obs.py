@@ -18,27 +18,38 @@ from repro.obs.events import (
     TransferEvent,
     WorkerDeath,
 )
-from repro.obs.export import idle_fractions_from_events, trace_from_events
+from repro.api import SimSpec
+from repro.obs.export import trace_from_events
 from repro.platform.machines import small_hetero
 from repro.runtime.engine import Simulator
 from repro.runtime.faults import FaultModel
 from repro.runtime.perfmodel import AnalyticalPerfModel
+from repro.runtime.trace import worker_idle_fraction
 from repro.schedulers.registry import make_scheduler
 
 
 def run(scheduler_name="multiprio", *, level=RecordLevel.OFF, sched=None,
-        n_tiles=6, record_trace=False, fault_model=None):
+        n_tiles=6, fault_model=None):
     machine = small_hetero(n_cpus=4, n_gpus=1, gpu_streams=1)
     sim = Simulator(
         machine.platform(),
         sched if sched is not None else make_scheduler(scheduler_name),
         AnalyticalPerfModel(machine.calibration()),
         seed=0,
-        record_trace=record_trace,
         record_level=level,
         fault_model=fault_model,
     )
     return sim, sim.run(cholesky_program(n_tiles, 512))
+
+
+def probe_run(kills):
+    """Cholesky 8x384 under multiprio on small-hetero, optionally with
+    fail-stop worker kills ``{wid: time_us}``."""
+    sim = SimSpec(
+        "small-hetero", "multiprio", record_level="tasks",
+        faults=FaultModel(worker_kills=kills) if kills else None,
+    ).simulator()
+    return sim, sim.run(cholesky_program(8, 384))
 
 
 class TestZeroCost:
@@ -93,27 +104,77 @@ class TestEventStream:
             assert ev.nbytes > 0
 
     def test_trace_records_have_real_sources(self):
-        """Satellite fix: engine Trace transfers no longer carry src=-1."""
-        _, res = run(level="off", record_trace=True)
-        assert res.trace is not None and res.trace.transfer_records
-        assert all(r.src >= 0 for r in res.trace.transfer_records)
+        """Transfers in the event-built trace name both real endpoints."""
+        sim, res = run(level="tasks")
+        trace = trace_from_events(res.events, sim.platform.workers)
+        assert trace.transfer_records
+        assert all(
+            r.src >= 0 and r.dst >= 0 and r.src != r.dst
+            for r in trace.transfer_records
+        )
 
     def test_event_trace_matches_engine_trace(self):
-        sim, res = run(level="tasks", record_trace=True)
-        rebuilt = trace_from_events(res.events, sim.platform.workers)
-        assert rebuilt.makespan() == res.trace.makespan()
-        assert len(rebuilt.task_records) == len(res.trace.task_records)
-        by_tid = {r.tid: r for r in res.trace.task_records}
-        for rec in rebuilt.task_records:
-            orig = by_tid[rec.tid]
-            assert (rec.worker, rec.start, rec.end) == (
-                orig.worker, orig.start, orig.end)
+        """The event-built trace is the engine's own per-task record."""
+        program = cholesky_program(6, 512)
+        machine = small_hetero(n_cpus=4, n_gpus=1, gpu_streams=1)
+        sim = Simulator(
+            machine.platform(), make_scheduler("multiprio"),
+            AnalyticalPerfModel(machine.calibration()), seed=0,
+            record_level="tasks",
+        )
+        res = sim.run(program)
+        trace = trace_from_events(res.events, sim.platform.workers)
+        assert trace.makespan() == res.makespan
+        assert len(trace.task_records) == len(program.tasks)
+        for rec in trace.task_records:
+            assert (rec.worker, rec.pop_time, rec.start, rec.end) == (
+                program.tasks[rec.tid].sched["_record"])
+            assert rec.node == sim.platform.workers[rec.worker].memory_node
 
     def test_idle_fractions_match_engine(self):
-        sim, res = run(level="tasks")
-        fracs = idle_fractions_from_events(res.events, sim.platform.workers)
+        """Per-worker trace idle fractions average to the engine's, bit
+        for bit."""
+        sim, res = probe_run({})
+        trace = trace_from_events(res.events, sim.platform.workers)
         for arch, frac in res.idle_frac_by_arch.items():
-            assert fracs[arch] == pytest.approx(frac, abs=1e-12)
+            fracs = [
+                trace.idle_fraction(w.wid)
+                for w in sim.platform.workers_of_arch(arch)
+            ]
+            assert (sum(fracs) / len(fracs) if fracs else 0.0) == frac
+
+    def test_dead_worker_idle_is_judged_over_its_lifetime(self):
+        sim, res = probe_run({1: 8000.0})
+        trace = trace_from_events(res.events, sim.platform.workers)
+        assert trace.death_us == res.death_us_by_worker == {1: 8000.0}
+        occupied = trace.busy_time(1) + trace.wait_time(1)
+        assert occupied > 0
+        assert trace.idle_fraction(1) == worker_idle_fraction(
+            occupied, trace.makespan(), 8000.0
+        )
+        assert trace.idle_fraction(1) < worker_idle_fraction(
+            occupied, trace.makespan()
+        )
+
+    @pytest.mark.parametrize("kills", [{}, {1: 3000.0}], ids=["no-fault", "kill"])
+    def test_metrics_idle_fractions_are_the_engines(self, kills):
+        """Regression: the metrics snapshot judged a dead worker against
+        the whole makespan (cpu 0.8959 vs the engine's 0.8533 with wid 1
+        killed) and differed in the last bits without faults."""
+        _, res = probe_run(kills)
+        for arch, frac in res.idle_frac_by_arch.items():
+            assert res.metrics.derived[f"idle_frac.{arch}"] == frac
+
+    @pytest.mark.parametrize("machine", ["small-hetero", "intel-v100"])
+    def test_event_trace_covers_every_task_and_byte(self, machine):
+        program = cholesky_program(8, 960)
+        sim = SimSpec(machine, "multiprio", record_level="tasks").simulator()
+        res = sim.run(program)
+        trace = trace_from_events(res.events, sim.platform.workers)
+        assert sorted(r.tid for r in trace.task_records) == [
+            t.tid for t in program.tasks
+        ]
+        assert sum(r.nbytes for r in trace.transfer_records) == res.bytes_transferred
 
     def test_metrics_snapshot(self):
         _, res = run(level="tasks")

@@ -16,7 +16,6 @@ from repro.obs.export import (
     events_from_jsonl,
     events_to_chrome,
     events_to_jsonl,
-    idle_fractions_from_events,
     summary_report,
     trace_from_events,
 )
@@ -131,15 +130,14 @@ class TestAnalyses:
         assert trace.record_of(0).type_name == "potrf"
 
     def test_idle_fractions_match_trace_formula(self):
-        events = small_stream()
-        fracs = idle_fractions_from_events(events, make_workers())
+        trace = trace_from_events(small_stream(), make_workers())
         # gpu occupied 10/10 (incl. wait), cpu fully idle
-        assert fracs["cuda"] == pytest.approx(0.0)
-        assert fracs["cpu"] == pytest.approx(1.0)
+        assert trace.idle_fraction(1) == pytest.approx(0.0)
+        assert trace.idle_fraction(0) == pytest.approx(1.0)
 
     def test_idle_fractions_empty(self):
-        fracs = idle_fractions_from_events([], make_workers())
-        assert fracs == {"cpu": 0.0, "cuda": 0.0}
+        trace = trace_from_events([], make_workers())
+        assert [trace.idle_fraction(w.wid) for w in trace.workers] == [0.0, 0.0]
 
     def test_decision_counts(self):
         assert decision_counts(small_stream()) == {"pop": 1, "skip": 1}

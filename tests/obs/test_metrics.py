@@ -119,34 +119,3 @@ class TestCollector:
         assert snap.counters["link_bytes.0->2"] == 100.0
         assert snap.counters["transfers"] == 1.0
         assert snap.counters["retries"] == 1.0
-
-    def test_idle_fractions_formula(self):
-        class W:
-            def __init__(self, wid, arch):
-                self.wid, self.arch = wid, arch
-
-        class P:
-            workers = [W(0, "cpu"), W(1, "cpu"), W(2, "cuda")]
-
-        reg, col = self._collector()
-        col.bind_platform(P())
-        # worker 0 occupied 5/10 (incl. 1us wait), worker 1 idle, gpu full
-        col.on_event(TaskEnd(t=10.0, tid=0, type_name="k", wid=0, node=0,
-                             pop_time=0.0, start=1.0, end=5.0))
-        col.on_event(TaskEnd(t=10.0, tid=1, type_name="k", wid=2, node=1,
-                             pop_time=0.0, start=0.0, end=10.0))
-        fracs = col.idle_fractions(10.0)
-        assert fracs["cpu"] == pytest.approx((0.5 + 1.0) / 2)
-        assert fracs["cuda"] == pytest.approx(0.0)
-
-    def test_idle_fractions_zero_makespan(self):
-        class W:
-            def __init__(self, wid, arch):
-                self.wid, self.arch = wid, arch
-
-        class P:
-            workers = [W(0, "cpu")]
-
-        _, col = self._collector()
-        col.bind_platform(P())
-        assert col.idle_fractions(0.0) == {"cpu": 0.0}

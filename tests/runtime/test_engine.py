@@ -16,7 +16,7 @@ from repro.schedulers.base import Scheduler
 from repro.schedulers.eager import Eager
 from repro.schedulers.registry import make_scheduler
 from repro.utils.validation import DeadlockError, SchedulingError
-from tests.conftest import make_chain_program, make_fork_join_program
+from tests.conftest import make_chain_program, make_fork_join_program, trace_of
 
 
 def simulate(machine, program, scheduler=None, **kw):
@@ -25,6 +25,7 @@ def simulate(machine, program, scheduler=None, **kw):
         scheduler or Eager(),
         AnalyticalPerfModel(machine.calibration()),
         seed=0,
+        record_level="tasks",
         **kw,
     )
     return sim, sim.run(program)
@@ -40,7 +41,7 @@ class TestCompleteness:
     def test_schedule_is_feasible(self, hetero_machine):
         program = make_fork_join_program(width=8)
         sim, res = simulate(hetero_machine, program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
     def test_empty_program(self, hetero_machine):
         program = TaskFlow("empty").program()
@@ -51,7 +52,7 @@ class TestCompleteness:
     def test_chain_respects_order(self, hetero_machine):
         program = make_chain_program(n=6)
         sim, res = simulate(hetero_machine, program)
-        records = sorted(res.trace.task_records, key=lambda r: r.start)
+        records = sorted(trace_of(sim, res).task_records, key=lambda r: r.start)
         tids = [r.tid for r in records]
         assert tids == sorted(tids)
 
@@ -120,16 +121,18 @@ class TestTimingModel:
         flow.submit("gemm", [(big, AccessMode.R)], flops=1e6, implementations=("cuda",))
         program = flow.program()
         sim, res = simulate(hetero_machine, program)
-        gpu_rec = [r for r in res.trace.task_records if r.type_name == "gemm"][0]
+        gpu_rec = [r for r in trace_of(sim, res).task_records if r.type_name == "gemm"][0]
         assert gpu_rec.wait_time > 0  # had to fetch 64 MiB over PCIe
         assert res.bytes_transferred == 64 * 2**20
 
     def test_noise_changes_durations_but_not_validity(self, hetero_machine):
         program = make_fork_join_program(width=6)
         pm = AnalyticalPerfModel(hetero_machine.calibration(), noise_sigma=0.4)
-        sim = Simulator(hetero_machine.platform(), Eager(), pm, seed=7)
+        sim = Simulator(
+            hetero_machine.platform(), Eager(), pm, seed=7, record_level="tasks"
+        )
         res = sim.run(program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
 
 class TestPipeline:
@@ -154,7 +157,7 @@ class TestPipeline:
     def test_pipeline_preserves_feasibility(self, hetero_machine):
         program = make_fork_join_program(width=12)
         sim, res = simulate(hetero_machine, program, pipeline=True)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
 
 class _NullScheduler(Scheduler):
@@ -239,8 +242,8 @@ class TestAccounting:
 
     def test_exec_time_by_arch_sums_to_busy_time(self, hetero_machine):
         program = make_fork_join_program(width=8)
-        _, res = simulate(hetero_machine, program)
-        total_exec = sum(r.exec_time for r in res.trace.task_records)
+        sim, res = simulate(hetero_machine, program)
+        total_exec = sum(r.exec_time for r in trace_of(sim, res).task_records)
         assert sum(res.exec_time_by_arch.values()) == pytest.approx(total_exec)
 
     def test_gflops_property(self, hetero_machine):
@@ -248,12 +251,6 @@ class TestAccounting:
         _, res = simulate(hetero_machine, program)
         expected = res.total_flops / (res.makespan * 1e-6) / 1e9
         assert res.gflops == pytest.approx(expected)
-
-    def test_record_trace_off(self, hetero_machine):
-        program = make_fork_join_program(width=4)
-        _, res = simulate(hetero_machine, program, record_trace=False)
-        assert res.trace is None
-        assert res.makespan > 0
 
 
 class _DoubleHandoutScheduler(Scheduler):

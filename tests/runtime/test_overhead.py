@@ -87,7 +87,7 @@ class TestEngineCharging:
     def run(self, overhead=None, **cfg):
         spec = SimSpec(
             "small-hetero", "multiprio",
-            config=SimConfig(overhead=overhead, record_trace=True, **cfg),
+            config=SimConfig(overhead=overhead, record_level="tasks", **cfg),
         )
         return spec.run(cholesky_program(4, 384))
 

@@ -195,12 +195,12 @@ class TestPowerLedger:
 class TestEnginePower:
     def run(self, program, machine=None, scheduler="multiprio", **cfg):
         machine = machine or small_hetero(n_cpus=4, n_gpus=1)
+        cfg.setdefault("record_level", "tasks")
         sim = Simulator(
             machine.platform(),
             make_scheduler(scheduler),
             AnalyticalPerfModel(machine.calibration()),
             seed=0,
-            record_trace=True,
             **cfg,
         )
         return sim.run(program), sim

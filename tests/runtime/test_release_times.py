@@ -9,7 +9,7 @@ from repro.runtime.engine import Simulator
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import Program
 from repro.schedulers.eager import Eager
-from tests.conftest import make_chain_program, make_fork_join_program
+from tests.conftest import make_chain_program, make_fork_join_program, trace_of
 
 
 def with_releases(program: Program, releases) -> Program:
@@ -23,7 +23,7 @@ def run(machine, program, **kw):
     sim = Simulator(
         machine.platform(), Eager(),
         AnalyticalPerfModel(machine.calibration()),
-        seed=0, record_trace=True, **kw,
+        seed=0, record_level="tasks", **kw,
     )
     return sim, sim.run(program)
 
@@ -52,8 +52,8 @@ class TestEngineHonorsReleases:
     def test_no_task_starts_before_its_release(self, hetero_machine):
         program = make_fork_join_program(width=6)
         releases = [0.0] + [500.0] * (len(program.tasks) - 1)
-        _, res = run(hetero_machine, with_releases(program, releases))
-        by_tid = {r.tid: r for r in res.trace.task_records}
+        sim, res = run(hetero_machine, with_releases(program, releases))
+        by_tid = {r.tid: r for r in trace_of(sim, res).task_records}
         for tid, release in enumerate(releases):
             assert by_tid[tid].start >= release - 1e-9
 
@@ -83,4 +83,4 @@ class TestEngineHonorsReleases:
             submission_window=window, check_invariants=True,
         )
         assert res.n_tasks == len(program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)

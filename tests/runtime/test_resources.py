@@ -8,6 +8,7 @@ import pytest
 from repro.api import SimConfig, SimSpec
 from repro.check.differential import fingerprint
 from repro.obs.events import PriorityInversion
+from repro.obs.export import trace_from_events
 from repro.runtime.resources import ResourceLedger, ResourceProtocol
 from repro.runtime.stf import TaskFlow
 from repro.runtime.task import AccessMode, Task
@@ -98,16 +99,17 @@ class TestLedger:
 
 class TestEngineExclusion:
     def run(self, program, resources=ResourceProtocol(), **cfg):
+        cfg.setdefault("record_level", "tasks")
         spec = SimSpec(
             "small-hetero", "multiprio",
-            config=SimConfig(resources=resources, record_trace=True, **cfg),
+            config=SimConfig(resources=resources, **cfg),
         )
         return spec.run(program)
 
     def test_shared_resource_serializes_execution(self):
         res = self.run(contended_program(width=6))
         spans = sorted(
-            (r.start, r.end) for r in res.trace.task_records
+            (r.start, r.end) for r in trace_from_events(res.events, ()).task_records
         )
         for (_, prev_end), (start, _) in zip(spans, spans[1:]):
             assert start >= prev_end - 1e-9
@@ -125,7 +127,9 @@ class TestEngineExclusion:
                 implementations=("cpu",), resources=(f"r{i}",),
             )
         res = self.run(tf.program())
-        spans = sorted((r.start, r.end) for r in res.trace.task_records)
+        spans = sorted(
+            (r.start, r.end) for r in trace_from_events(res.events, ()).task_records
+        )
         overlaps = sum(
             1 for (s1, e1), (s2, _) in zip(spans, spans[1:]) if s2 < e1
         )
@@ -137,7 +141,7 @@ class TestEngineExclusion:
 
         program = cholesky_program(4, 384)
         plain = SimSpec(
-            "small-hetero", "multiprio", config=SimConfig(record_trace=True)
+            "small-hetero", "multiprio", config=SimConfig(record_level="tasks")
         ).run(program)
         gated = self.run(program)
         assert fingerprint(gated) == fingerprint(plain)

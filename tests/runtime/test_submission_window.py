@@ -8,7 +8,7 @@ from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.schedulers.eager import Eager
 from repro.schedulers.registry import make_scheduler
 from repro.utils.validation import SchedulingError
-from tests.conftest import make_chain_program, make_fork_join_program
+from tests.conftest import make_chain_program, make_fork_join_program, trace_of
 
 
 def simulate(machine, program, window, scheduler=None):
@@ -18,6 +18,7 @@ def simulate(machine, program, window, scheduler=None):
         AnalyticalPerfModel(machine.calibration()),
         seed=0,
         submission_window=window,
+        record_level="tasks",
     )
     return sim, sim.run(program)
 
@@ -26,7 +27,7 @@ class TestWindow:
     def test_window_one_serializes_submission_order(self, hetero_machine):
         program = make_fork_join_program(width=6)
         sim, res = simulate(hetero_machine, program, window=1)
-        records = sorted(res.trace.task_records, key=lambda r: r.start)
+        records = sorted(trace_of(sim, res).task_records, key=lambda r: r.start)
         assert [r.tid for r in records] == sorted(r.tid for r in records)
 
     def test_small_window_cannot_beat_unbounded(self, hetero_machine):
@@ -46,7 +47,7 @@ class TestWindow:
         program = make_fork_join_program(width=10)
         sim, res = simulate(hetero_machine, program, window)
         assert res.n_tasks == len(program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
     @pytest.mark.parametrize("name", ["multiprio", "dmdas", "heteroprio"])
     def test_all_schedulers_respect_window(self, hetero_machine, name):
@@ -54,7 +55,7 @@ class TestWindow:
         sim, res = simulate(
             hetero_machine, program, window=2, scheduler=make_scheduler(name)
         )
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
     def test_invalid_window_rejected(self, hetero_machine):
         with pytest.raises(SchedulingError):

@@ -8,7 +8,7 @@ from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import TaskFlow
 from repro.runtime.task import AccessMode
 from repro.schedulers.registry import make_scheduler, scheduler_names
-from tests.conftest import make_chain_program, make_fork_join_program
+from tests.conftest import make_chain_program, make_fork_join_program, trace_of
 
 ALL = scheduler_names()
 
@@ -21,9 +21,10 @@ def test_fork_join_is_feasible(name, hetero_machine):
         make_scheduler(name),
         AnalyticalPerfModel(hetero_machine.calibration()),
         seed=1,
+        record_level="tasks",
     )
     res = sim.run(program)
-    check_schedule(program, res.trace, sim.platform.workers)
+    check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -34,9 +35,10 @@ def test_chain_is_feasible(name, hetero_machine):
         make_scheduler(name),
         AnalyticalPerfModel(hetero_machine.calibration()),
         seed=1,
+        record_level="tasks",
     )
     res = sim.run(program)
-    check_schedule(program, res.trace, sim.platform.workers)
+    check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -54,9 +56,10 @@ def test_arch_restricted_tasks_land_correctly(name, two_gpu_machine):
         make_scheduler(name),
         AnalyticalPerfModel(two_gpu_machine.calibration()),
         seed=2,
+        record_level="tasks",
     )
     res = sim.run(program)
-    check_schedule(program, res.trace, sim.platform.workers)
+    check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -68,9 +71,10 @@ def test_cpu_only_platform(name, cpu_machine):
         make_scheduler(name),
         AnalyticalPerfModel(cpu_machine.calibration()),
         seed=3,
+        record_level="tasks",
     )
     res = sim.run(program)
-    check_schedule(program, res.trace, sim.platform.workers)
+    check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
 
 @pytest.mark.parametrize("name", ["multiprio", "dmdas", "heteroprio", "dm", "dmda"])

@@ -90,7 +90,7 @@ class TestPop:
 class TestEndToEnd:
     def test_feasible_schedule(self, hetero_machine):
         from repro.analysis.validation import check_schedule
-        from tests.conftest import make_fork_join_program
+        from tests.conftest import make_fork_join_program, trace_of
 
         program = make_fork_join_program(width=10)
         sim = Simulator(
@@ -98,9 +98,10 @@ class TestEndToEnd:
             CATS(),
             AnalyticalPerfModel(hetero_machine.calibration()),
             seed=0,
+            record_level="tasks",
         )
         res = sim.run(program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
     def test_invalid_frac(self):
         from repro.utils.validation import ValidationError

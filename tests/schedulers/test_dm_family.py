@@ -144,7 +144,7 @@ class TestDmdas:
 
     def test_end_to_end_feasible(self, hetero_machine):
         from repro.analysis.validation import check_schedule
-        from tests.conftest import make_fork_join_program
+        from tests.conftest import make_fork_join_program, trace_of
 
         program = make_fork_join_program(width=10)
         sim = Simulator(
@@ -152,6 +152,7 @@ class TestDmdas:
             Dmdas(),
             AnalyticalPerfModel(hetero_machine.calibration()),
             seed=0,
+            record_level="tasks",
         )
         res = sim.run(program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)

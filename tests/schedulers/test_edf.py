@@ -14,6 +14,7 @@ from repro.schedulers.edf import EDF
 from repro.schedulers.multiprio import MultiPrio
 from repro.schedulers.registry import make_scheduler, scheduler_names
 from repro.runtime.engine import Simulator
+from tests.conftest import trace_of
 
 
 def deadline_bag(deadlines, implementations=("cpu",)):
@@ -33,10 +34,10 @@ def run_on_one_cpu(program, scheduler):
     sim = Simulator(
         machine.platform(), scheduler,
         AnalyticalPerfModel(machine.calibration()),
-        seed=0, record_trace=True,
+        seed=0, record_level="tasks",
     )
     res = sim.run(program)
-    return [r.tid for r in sorted(res.trace.task_records, key=lambda r: r.start)]
+    return [r.tid for r in sorted(trace_of(sim, res).task_records, key=lambda r: r.start)]
 
 
 class TestEDF:
@@ -73,10 +74,10 @@ class TestEDF:
         sim = Simulator(
             hetero_machine.platform(), EDF(),
             AnalyticalPerfModel(hetero_machine.calibration()),
-            seed=0, record_trace=True,
+            seed=0, record_level="tasks",
         )
         res = sim.run(tf.program())
-        by_tid = {r.tid: r for r in res.trace.task_records}
+        by_tid = {r.tid: r for r in trace_of(sim, res).task_records}
         assert len(by_tid) == 2  # both ran; nothing was dropped
 
 

@@ -25,6 +25,7 @@ from repro.experiments.overload import (
     sustainable_rate_jobs_per_s,
 )
 from repro.extensions.energy import EnergyAwareMultiPrio
+from repro.obs.export import trace_from_events
 from repro.platform import MACHINES
 from repro.runtime.faults import FaultModel
 from repro.runtime.overhead import SchedOverheadModel
@@ -87,7 +88,10 @@ def run_both(window_calls, make_sched, run) -> tuple[Outcome, Outcome]:
         window_calls["n"] = 0
         res = run(sched)
         records = tuple(
-            sorted((r.tid, r.worker, r.start, r.end) for r in res.trace.task_records)
+            sorted(
+                (r.tid, r.worker, r.start, r.end)
+                for r in trace_from_events(res.events, ()).task_records
+            )
         )
         out.append(
             Outcome(
@@ -104,11 +108,11 @@ def mp(**kw):
 
 
 def graph_run(machine, program_factory, **knobs):
-    """A traced, task-level-recorded run of one fresh program."""
+    """A task-level-recorded run of one fresh program."""
 
     def run(sched):
         spec = SimSpec(
-            machine, sched, record_trace=True, record_level="tasks", **knobs
+            machine, sched, record_level="tasks", **knobs
         )
         return spec.run(program_factory())
 
@@ -132,7 +136,7 @@ def overloaded_stream_run():
     def run(sched):
         spec = SimSpec(
             machine, sched, control=control, isolated_baseline=False,
-            record_trace=True, record_level="tasks",
+            record_level="tasks",
         )
         sres = run.last = spec.run_stream(stream)
         return sres.sim
@@ -239,7 +243,7 @@ class TestBypass:
     def test_decisions_level(self, window_calls):
         def run(sched):
             spec = SimSpec(
-                "small-hetero", sched, record_trace=True, record_level="decisions"
+                "small-hetero", sched, record_level="decisions"
             )
             return spec.run(cholesky_program(8, 512))
 
@@ -256,7 +260,7 @@ class TestBypass:
             history = HistoryPerfModel(AnalyticalPerfModel(calib))
             spec = SimSpec(
                 "small-hetero", sched, perfmodel=history,
-                record_trace=True, record_level="tasks",
+                record_level="tasks",
             )
             return spec.run(cholesky_program(8, 512))
 

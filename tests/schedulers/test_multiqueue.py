@@ -15,7 +15,7 @@ from repro.utils.validation import ValidationError
 def run(scheduler="multiqueue", app=cholesky_program, n=6, **sched_params):
     spec = SimSpec(
         "small-hetero", scheduler,
-        config=SimConfig(record_trace=True, check_invariants=True,
+        config=SimConfig(record_level="tasks", check_invariants=True,
                          sched_params=sched_params),
     )
     return spec.run(app(n, 384))
@@ -34,7 +34,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_runs_all_tasks_checker_clean(self, k):
         res = run(k=k)
-        assert len(res.trace.task_records) == len(cholesky_program(6, 384).tasks)
+        assert len(fingerprint(res)[0]) == len(cholesky_program(6, 384).tasks)
         assert res.forced_pops == 0
 
     def test_deterministic_per_seed(self):
@@ -48,7 +48,7 @@ class TestEndToEnd:
     def test_k1_respects_strict_priority(self):
         """One heap per arch = exact priority order within each arch."""
         res = run(k=1, app=lu_program)
-        assert len(res.trace.task_records) == len(lu_program(6, 384).tasks)
+        assert len(fingerprint(res)[0]) == len(lu_program(6, 384).tasks)
 
 
 class TestUnitHooks:

@@ -42,7 +42,7 @@ def run(scheduler, sched_params):
     return SimSpec(
         "small-hetero", scheduler,
         config=SimConfig(
-            record_trace=True, batch_step=50.0, batch_drain_on_idle=False,
+            record_level="tasks", batch_step=50.0, batch_drain_on_idle=False,
             sched_params=sched_params,
         ),
         isolated_baseline=False,

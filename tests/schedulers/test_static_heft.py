@@ -7,7 +7,7 @@ from repro.apps.dense import cholesky_program
 from repro.runtime.engine import Simulator
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.schedulers.static_heft import StaticHEFT
-from tests.conftest import make_chain_program, make_fork_join_program
+from tests.conftest import make_chain_program, make_fork_join_program, trace_of
 
 
 def run(machine, program):
@@ -16,6 +16,7 @@ def run(machine, program):
         StaticHEFT(),
         AnalyticalPerfModel(machine.calibration()),
         seed=0,
+        record_level="tasks",
     )
     return sim, sim.run(program)
 
@@ -24,12 +25,12 @@ class TestPlan:
     def test_feasible_on_fork_join(self, hetero_machine):
         program = make_fork_join_program(width=12)
         sim, res = run(hetero_machine, program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
     def test_feasible_on_chain(self, hetero_machine):
         program = make_chain_program(n=10)
         sim, res = run(hetero_machine, program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)
 
     def test_plan_covers_whole_submitted_dag(self, hetero_machine):
         """The plan must be built from the source tasks' closure, not
@@ -44,7 +45,8 @@ class TestPlan:
         sim, res = run(hetero_machine, program)
         plat = sim.platform
         gpu_tasks = sum(
-            1 for r in res.trace.task_records if plat.workers[r.worker].arch == "cuda"
+            1 for r in trace_of(sim, res).task_records
+            if plat.workers[r.worker].arch == "cuda"
         )
         assert gpu_tasks > len(program) / 2
 

@@ -94,7 +94,7 @@ class TestLocalityWorkStealing:
 
     def test_end_to_end(self, hetero_machine):
         from repro.analysis.validation import check_schedule
-        from tests.conftest import make_fork_join_program
+        from tests.conftest import make_fork_join_program, trace_of
 
         program = make_fork_join_program(width=9)
         sim = Simulator(
@@ -102,6 +102,7 @@ class TestLocalityWorkStealing:
             LocalityWorkStealing(),
             AnalyticalPerfModel(hetero_machine.calibration()),
             seed=0,
+            record_level="tasks",
         )
         res = sim.run(program)
-        check_schedule(program, res.trace, sim.platform.workers)
+        check_schedule(program, trace_of(sim, res), sim.platform.workers)

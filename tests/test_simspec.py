@@ -30,22 +30,22 @@ def stream_signature(sres):
 class TestSpecSemantics:
     def test_convenience_keywords_fold_into_config(self):
         spec = SimSpec("small-hetero", "eager", seed=9, batch_step=50.0,
-                       record_trace=True)
+                       record_level="tasks")
         assert spec.config.seed == 9
         assert spec.config.batch_step == 50.0
-        assert spec.config.record_trace is True
+        assert spec.config.record_level == "tasks"
         # Folded in once: the effective values live only in `config`.
         assert spec.seed is None and spec.batch_step is None
         assert spec == SimSpec("small-hetero", "eager", config=SimConfig(
-            seed=9, batch_step=50.0, record_trace=True))
+            seed=9, batch_step=50.0, record_level="tasks"))
 
     def test_keyword_form_equals_config_form(self):
         program = cholesky_program(4, 384)
         by_config = SimSpec(
-            "small-hetero", "eager", config=SimConfig(seed=7, record_trace=True)
+            "small-hetero", "eager", config=SimConfig(seed=7, record_level="tasks")
         ).run(program)
         by_kw = SimSpec(
-            "small-hetero", "eager", seed=7, record_trace=True
+            "small-hetero", "eager", seed=7, record_level="tasks"
         ).run(program)
         assert fingerprint(by_config) == fingerprint(by_kw)
 
@@ -56,7 +56,7 @@ class TestSpecSemantics:
         assert replace(spec, seed=5).config.seed == 5
         assert replace(spec, seed=5).config.batch_step == 50.0
         nondefault = SimConfig(
-            seed=7, noise_sigma=0.1, record_trace=True, record_level="tasks",
+            seed=7, noise_sigma=0.1, record_level="tasks",
             pipeline=False, batch_drain_on_idle=False,
             sched_params={"relaxed": 4},
         )
@@ -101,7 +101,7 @@ class TestStreamDeterminism:
         def once(batch):
             spec = SimSpec(
                 "small-hetero", "multiqueue", isolated_baseline=False,
-                config=SimConfig(batch_step=batch, record_trace=True),
+                config=SimConfig(batch_step=batch, record_level="tasks"),
             )
             return spec.run_stream(small_stream())
 

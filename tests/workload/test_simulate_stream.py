@@ -41,9 +41,9 @@ class TestSingleJobEquivalence:
         stream = trace_stream([(0.0, program, "t0")])
         sres = SimSpec(
             "small-hetero", scheduler, isolated_baseline=False,
-            record_trace=True,
+            record_level="tasks",
         ).run_stream(stream)
-        res = SimSpec("small-hetero", scheduler, record_trace=True).run(program)
+        res = SimSpec("small-hetero", scheduler, record_level="tasks").run(program)
         assert fingerprint(sres.sim) == fingerprint(res)
         assert sres.makespan_us == res.makespan
         job = sres.jobs[0]
@@ -212,10 +212,10 @@ class TestCheckedStreams:
         stream = small_stream(n_jobs=3)
         plain = SimSpec(
             "small-hetero", "multiprio", isolated_baseline=False,
-            record_trace=True,
+            record_level="tasks",
         ).run_stream(stream)
         checked = SimSpec(
             "small-hetero", "multiprio", isolated_baseline=False,
-            record_trace=True, check_invariants=True,
+            record_level="tasks", check_invariants=True,
         ).run_stream(stream)
         assert fingerprint(plain.sim) == fingerprint(checked.sim)
