@@ -20,9 +20,20 @@ caught at the next call. A call therefore costs O(tasks) C work per
 moved task plus Python work proportional to the moved tasks, their
 successors and the workers, instead of a Python walk over every task
 and its predecessors.
-The other families re-derive their state on every call (``msi`` walks
-every handle, ``scheduler`` is the policy's own audit); the ``rt``
-ledgers are consumed incrementally.
+
+The ``msi`` family is exact but incremental the same way. It keeps a
+copy of each data handle's state as last checked (replica set, pins,
+in-flight transfers, size, home node) and that check's violations, and
+per bounded node a copy of its resident set and usage. Each call finds
+the handles that differ from their copy in one C-level pass per field,
+adds those whose expected pins, COMMUTE membership or residency changed
+(every handle when the replica-loss exemption flips), and checks only
+these again; the cached verdicts of the rest are reported unchanged. A
+bounded node's residency is re-walked only when it or one of its
+resident handles changed, or when it was in violation. Drift on a
+handle no event touched is still caught at the next call.
+``scheduler`` is the policy's own audit and sweeps its whole state; the
+``rt`` ledgers are consumed incrementally.
 
 ``clock``
     Event times never move backward.
@@ -31,10 +42,12 @@ ledgers are consumed incrementally.
     never exceeds the combined clock, and recorded prefetch wire spans
     are ordered and consistent with the clocks.
 ``msi``
-    Replica-set coherence: in-flight transfers and pins target valid
-    replicas, pin counts equal exactly what the running/staged tasks
-    pinned, and the capacity accounting (``_resident``/``_usage``) of
-    bounded nodes matches the handles' sizes.
+    Replica-set coherence: every handle has a valid replica (unless a
+    memory node lost its last worker, which drops the replicas it
+    hosted), in-flight transfers and pins target valid replicas, pin
+    counts equal exactly what the running/staged tasks pinned, and the
+    capacity accounting (``_resident``/``_usage``) of bounded nodes
+    matches the handles' sizes.
 ``task_state``
     Only legal lifecycle transitions occurred since the previous check
     (fault rollbacks are legal only under a fault model); ``DONE`` is
@@ -220,10 +233,10 @@ class InvariantChecker:
         self._energy_floor = (0, 0, 0.0, 0.0)
         self.n_checks = 0
         self._node_of_wid = {w.wid: w.memory_node for w in platform.workers}
-        self._handle_by_hid = {h.hid: h for h in program.handles}
         self._node_ids = {n.mid for n in platform.nodes}
         self._last_now = 0.0
         self._init_tasks()
+        self._init_msi()
         # Per-link monotonicity floor: (busy, demand, bytes, transfers).
         self._link_floor = {
             id(link): (link.busy_until, link.demand_busy_until,
@@ -849,80 +862,172 @@ class InvariantChecker:
                 f"{tasks[tid].name}: {before.name} -> {after.name} ({why})",
             ))
 
+    # -- msi family (snapshot diff) ---------------------------------------
+
+    def _init_msi(self) -> None:
+        """Reset the msi family's snapshots for a fresh run.
+
+        Every snapshot starts as ``None``, which equals no live value, so
+        the first call checks every handle and walks every bounded node.
+        """
+        platform = self.platform
+        n = len(self.program.handles)
+        self._hidx = {h.hid: i for i, h in enumerate(self.program.handles)}
+        # Nodes that start with workers: one losing its last worker takes
+        # the replicas it hosted with it.
+        self._staffed_nodes = tuple(
+            node.mid for node in platform.nodes
+            if platform.workers_of_node(node.mid)
+        )
+        # Last checked state per handle, in handle order (hid and label
+        # only name a handle and are not snapshotted).
+        self._msi_valid: list = [None] * n
+        self._msi_pins: list = [None] * n
+        self._msi_flight: list = [None] * n
+        self._msi_size: list = [None] * n
+        self._msi_home: list = [None] * n
+        # Handle index -> the violations its last check found.
+        self._msi_found: dict[int, list[tuple[str, str]]] = {}
+        self._msi_exempt: bool | None = None
+        # Running/staged (task, node, pinned) triples the expected pins
+        # and COMMUTE handles below were derived from.
+        self._msi_running: list | None = None
+        self._msi_expected: dict[tuple[int, int], int] = {}
+        self._msi_commute: set[int] = set()
+        # Per bounded node: resident dict and usage at its last walk, and
+        # the nodes whose last walk found violations.
+        bounded = platform.transfers._resident
+        self._msi_resident: dict[int, dict | None] = dict.fromkeys(bounded)
+        self._msi_usage: dict[int, int | None] = dict.fromkeys(bounded)
+        self._msi_flagged_nodes: set[int] = set()
+
+    def _replicas_may_vanish(self) -> bool:
+        """Whether a node that started with workers has none left alive.
+
+        Only then does the engine drop replicas (those the node hosted),
+        so only then may a handle legally have no valid replica.
+        """
+        workers_of_node = self.ctx.workers_of_node
+        return any(not workers_of_node(mid) for mid in self._staffed_nodes)
+
     def _check_msi(
         self, running: dict[int, list[tuple[Task, int]]], out: list
     ) -> None:
+        """Replica coherence, re-checking only what may have changed.
+
+        A handle's verdict depends only on its own state, its expected
+        pin counts, its COMMUTE membership, its presence in the bounded
+        nodes' resident sets and the replica-loss exemption; a bounded
+        node's depends on its resident dict, usage and LRU keys and on
+        its resident handles' replicas and sizes. A verdict is computed
+        again when one of its inputs changed and re-emitted from the
+        cache otherwise, so each call reports what a full sweep would,
+        in the same order.
+        """
+        handles = self.program.handles
         transfers = self.platform.transfers
-        node_ids = self._node_ids
-        worker_died = bool(self.ctx._dead_wids)
+        bounded = transfers._resident
+        hidx = self._hidx
+        n = len(handles)
+
+        # Comprehensions: a slot read is cheaper there than by attrgetter.
+        recheck: set[int] = set()
+        live = [h._pins for h in handles]
+        if live != self._msi_pins:
+            recheck.update(compress(range(n), map(ne, live, self._msi_pins)))
+        live = [h._in_flight for h in handles]
+        if live != self._msi_flight:
+            recheck.update(compress(range(n), map(ne, live, self._msi_flight)))
+        homes = [h.home_node for h in handles]
+        if homes != self._msi_home:
+            recheck.update(compress(range(n), map(ne, homes, self._msi_home)))
+            self._msi_home = homes
+        # Replicas and size also feed the residency walk.
+        moved: set[int] = set()
+        live = [h.valid_nodes for h in handles]
+        if live != self._msi_valid:
+            moved.update(compress(range(n), map(ne, live, self._msi_valid)))
+        sizes = [h.size for h in handles]
+        if sizes != self._msi_size:
+            moved.update(compress(range(n), map(ne, sizes, self._msi_size)))
+            self._msi_size = sizes
+        recheck |= moved
 
         # Expected pins from the running/staged tasks' acquire() records;
         # handles commute-written by a running task are exempt from the
         # pins-target-valid check (a concurrent commuting writer's
         # completion legally invalidates a replica another commuter still
-        # pins — StarPU's COMMUTE leaves the order unspecified).
-        expected_pins: dict[tuple[int, int], int] = {}
-        commute_hids: set[int] = set()
-        for entries in running.values():
-            for task, node in entries:
-                for handle in task.sched.get("_pinned", ()):
-                    key = (handle.hid, node)
-                    expected_pins[key] = expected_pins.get(key, 0) + 1
+        # pins — StarPU's COMMUTE leaves the order unspecified). Both are
+        # rebuilt only when the running/staged set changes.
+        key = [
+            (task, node, task.sched.get("_pinned", ()))
+            for entries in running.values()
+            for task, node in entries
+        ]
+        if key == self._msi_running:
+            expected_pins = self._msi_expected
+            commute_hids = self._msi_commute
+        else:
+            expected_pins = {}
+            commute_hids = set()
+            for task, node, pinned in key:
+                for handle in pinned:
+                    pin = (handle.hid, node)
+                    expected_pins[pin] = expected_pins.get(pin, 0) + 1
                 for handle, mode in task.accesses:
                     if mode is AccessMode.COMMUTE:
                         commute_hids.add(handle.hid)
+            changed = [
+                hid for (hid, _), _ in
+                expected_pins.items() ^ self._msi_expected.items()
+            ]
+            changed.extend(commute_hids ^ self._msi_commute)
+            recheck.update(map(hidx.__getitem__, changed))
+            self._msi_running = key
+            self._msi_expected = expected_pins
+            self._msi_commute = commute_hids
 
-        bounded = transfers._resident
-        for handle in self.program.handles:
-            label = handle.label
-            if not handle.valid_nodes and not worker_died:
-                out.append(("msi", f"{label} has no valid replica anywhere"))
-            if not handle.valid_nodes.issubset(node_ids):
-                out.append((
-                    "msi",
-                    f"{label} valid on unknown nodes "
-                    f"{sorted(handle.valid_nodes - node_ids)}",
-                ))
-            for node in handle._in_flight:
-                if node not in handle.valid_nodes:
-                    out.append((
-                        "msi",
-                        f"{label} has a transfer in flight toward node {node} "
-                        f"but no (eagerly registered) replica there",
-                    ))
-            for node, count in handle._pins.items():
-                if count <= 0:
-                    out.append((
-                        "msi",
-                        f"{label} pin count on node {node} is {count} "
-                        f"(stored counts must stay positive)",
-                    ))
-                if (node not in handle.valid_nodes
-                        and handle.hid not in commute_hids):
-                    out.append((
-                        "msi",
-                        f"{label} pinned on node {node} but not valid there "
-                        f"(a running task's input was invalidated)",
-                    ))
-                want = expected_pins.get((handle.hid, node), 0)
-                if count != want:
-                    out.append((
-                        "msi",
-                        f"{label} pin count on node {node} is {count} but "
-                        f"running/staged tasks account for {want}",
-                    ))
-            for node in handle.valid_nodes:
-                if (node in bounded and handle.size > 0
-                        and node != handle.home_node
-                        and handle.hid not in bounded[node]):
-                    out.append((
-                        "msi",
-                        f"{label} valid on bounded node {node} but missing "
-                        f"from its residency accounting",
-                    ))
+        exempt = self._replicas_may_vanish()
+        if exempt is not self._msi_exempt:
+            self._msi_exempt = exempt
+            recheck.update(range(n))
+
+        # Handles that entered or left a bounded node's resident set.
+        walk: set[int] = set()
+        for mid, resident in bounded.items():
+            saved = self._msi_resident[mid]
+            if resident != saved:
+                walk.add(mid)
+                if saved is not None:
+                    recheck.update(
+                        hidx[hid] for hid in resident.keys() ^ saved.keys()
+                        if hid in hidx
+                    )
+                self._msi_resident[mid] = resident.copy()
+
+        found = self._msi_found
+        if recheck:
+            node_ids = self._node_ids
+            for i in recheck:
+                handle = handles[i]
+                violations = self._msi_handle(
+                    handle, node_ids, expected_pins, commute_hids, exempt,
+                    bounded,
+                )
+                if violations:
+                    found[i] = violations
+                else:
+                    found.pop(i, None)
+                self._msi_valid[i] = frozenset(handle.valid_nodes)
+                self._msi_pins[i] = handle._pins.copy()
+                self._msi_flight[i] = handle._in_flight.copy()
+        if found:
+            for i in sorted(found):
+                out.extend(found[i])
+
         # Pins on handles the running tasks never pinned.
         for (hid, node), want in expected_pins.items():
-            handle = self._handle_by_hid[hid]
+            handle = handles[hidx[hid]]
             if node not in handle._pins:
                 out.append((
                     "msi",
@@ -930,25 +1035,95 @@ class InvariantChecker:
                     f"by running/staged tasks but carries no pin",
                 ))
 
+        usage = transfers._usage
+        last_use = transfers._last_use
+        flagged = self._msi_flagged_nodes
+        moved_hids = [handles[i].hid for i in moved]
         for mid, resident in bounded.items():
-            total = 0
-            for hid, handle in resident.items():
-                total += handle.size
-                if mid not in handle.valid_nodes:
-                    out.append((
-                        "msi",
-                        f"{handle.label} accounted resident on node {mid} "
-                        f"but not valid there",
-                    ))
-            if total != transfers._usage[mid]:
+            if not (
+                mid in walk or mid in flagged
+                or usage[mid] != self._msi_usage[mid]
+                or resident.keys() != last_use[mid].keys()
+                or any(hid in resident for hid in moved_hids)
+            ):
+                continue
+            self._msi_usage[mid] = usage[mid]
+            before = len(out)
+            for handle in [
+                h for h in resident.values() if mid not in h.valid_nodes
+            ]:
                 out.append((
                     "msi",
-                    f"node {mid} usage counter says {transfers._usage[mid]} "
+                    f"{handle.label} accounted resident on node {mid} "
+                    f"but not valid there",
+                ))
+            total = sum([h.size for h in resident.values()])
+            if total != usage[mid]:
+                out.append((
+                    "msi",
+                    f"node {mid} usage counter says {usage[mid]} "
                     f"bytes but resident handles sum to {total}",
                 ))
-            if resident.keys() != transfers._last_use[mid].keys():
+            if resident.keys() != last_use[mid].keys():
                 out.append((
                     "msi",
                     f"node {mid} LRU recency keys diverge from the resident "
                     f"set",
                 ))
+            if len(out) > before:
+                flagged.add(mid)
+            else:
+                flagged.discard(mid)
+
+    @staticmethod
+    def _msi_handle(
+        handle, node_ids, expected_pins, commute_hids, exempt, bounded
+    ) -> list[tuple[str, str]]:
+        """One handle's replica-set, in-flight, pin and residency checks."""
+        out: list[tuple[str, str]] = []
+        label = handle.label
+        valid = handle.valid_nodes
+        if not valid and not exempt:
+            out.append(("msi", f"{label} has no valid replica anywhere"))
+        if not valid.issubset(node_ids):
+            out.append((
+                "msi",
+                f"{label} valid on unknown nodes {sorted(valid - node_ids)}",
+            ))
+        for node in handle._in_flight:
+            if node not in valid:
+                out.append((
+                    "msi",
+                    f"{label} has a transfer in flight toward node {node} "
+                    f"but no (eagerly registered) replica there",
+                ))
+        for node, count in handle._pins.items():
+            if count <= 0:
+                out.append((
+                    "msi",
+                    f"{label} pin count on node {node} is {count} "
+                    f"(stored counts must stay positive)",
+                ))
+            if node not in valid and handle.hid not in commute_hids:
+                out.append((
+                    "msi",
+                    f"{label} pinned on node {node} but not valid there "
+                    f"(a running task's input was invalidated)",
+                ))
+            want = expected_pins.get((handle.hid, node), 0)
+            if count != want:
+                out.append((
+                    "msi",
+                    f"{label} pin count on node {node} is {count} but "
+                    f"running/staged tasks account for {want}",
+                ))
+        for node in valid:
+            if (node in bounded and handle.size > 0
+                    and node != handle.home_node
+                    and handle.hid not in bounded[node]):
+                out.append((
+                    "msi",
+                    f"{label} valid on bounded node {node} but missing "
+                    f"from its residency accounting",
+                ))
+        return out

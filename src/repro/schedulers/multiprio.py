@@ -254,7 +254,6 @@ class MultiPrio(Scheduler):
 
         brw_nodes: list[int] = []
         entries: dict[int, HeapEntry] = {}
-        enabled_nodes: list[int] = []
         for node in ctx.platform.nodes:
             mid = node.mid
             heap = self.heaps.get(mid)
@@ -271,13 +270,11 @@ class MultiPrio(Scheduler):
             else:
                 prio = 0.0
             entries[mid] = heap.insert(task, gain, prio)
-            enabled_nodes.append(mid)
             self.ready_tasks_count[mid] += 1
             if node.arch == best_arch:
                 self.best_remaining_work[mid] += deltas[best_arch]
                 brw_nodes.append(mid)
 
-        task.sched["mp_nodes"] = enabled_nodes
         task.sched["mp_entries"] = entries
         task.sched["mp_brw_nodes"] = brw_nodes
         task.sched["mp_best_delta"] = deltas[best_arch]
@@ -285,7 +282,7 @@ class MultiPrio(Scheduler):
         self._brw_memo.clear()
         self._miss_memo.clear()
         if self.obs is not None:
-            for mid in enabled_nodes:
+            for mid in entries:
                 self.record_queue_depth(
                     f"heap_depth.node{mid}", self.ready_tasks_count[mid]
                 )
@@ -372,7 +369,6 @@ class MultiPrio(Scheduler):
             if use_crit and not arch_filtered:
                 raw_nod = nod(task)
             brw_nodes: list[int] = []
-            enabled_nodes: list[int] = []
             entries: dict[int, HeapEntry] = {}
             for mid, arch, insert, observe_nod in lanes:
                 if not can_exec(arch):
@@ -387,17 +383,15 @@ class MultiPrio(Scheduler):
                 else:
                     prio = 0.0
                 entries[mid] = insert(task, gain, prio)
-                enabled_nodes.append(mid)
                 counts[mid] += 1
                 if arch == best_arch:
                     brw[mid] += deltas[best_arch]
                     brw_nodes.append(mid)
-            sched["mp_nodes"] = enabled_nodes
             sched["mp_entries"] = entries
             sched["mp_brw_nodes"] = brw_nodes
             sched["mp_best_delta"] = deltas[best_arch]
             sched["mp_deltas"] = deltas
-            touched.update(enabled_nodes)
+            touched.update(entries)
         self._brw_memo.clear()
         self._miss_memo.clear()
         if self.obs is not None:
@@ -680,7 +674,7 @@ class MultiPrio(Scheduler):
             self.best_remaining_work[mid] -= delta
             if self.best_remaining_work[mid] < 1e-9:
                 self.best_remaining_work[mid] = 0.0
-        task.sched["mp_brw_nodes"] = []
+        task.sched["mp_brw_nodes"] = ()
         self._brw_memo.clear()
         self._miss_memo.clear()
 

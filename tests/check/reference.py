@@ -1,13 +1,13 @@
-"""Full-sweep reference for the checker's task families.
+"""Full-sweep reference for the checker's incremental families.
 
-The ``window``, ``conservation`` and ``task_state`` families of
+The ``window``, ``conservation``, ``task_state`` and ``msi`` families of
 :class:`repro.check.invariants.InvariantChecker` are incremental: they
 diff per-call snapshots and keep derived state. :class:`ReferenceSweep`
 is the straightforward version they must agree with, violation for
 violation: on every call it walks every task, recounts each task's
-unfinished predecessors from their states and rescans the revealed
-prefix for cancelled tasks. It is quadratic-ish and only meant for
-tests.
+unfinished predecessors from their states, rescans the revealed prefix
+for cancelled tasks, and re-checks every data handle and every bounded
+node's residency. It is quadratic-ish and only meant for tests.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.check.invariants import (
     InvariantChecker,
 )
 from repro.runtime.events import TASK_RETRY
-from repro.runtime.task import Task, TaskState
+from repro.runtime.task import AccessMode, Task, TaskState
 
 _S = TaskState.SUBMITTED
 _READY = TaskState.READY
@@ -29,8 +29,8 @@ _CXL = TaskState.CANCELLED
 
 
 class ReferenceSweep:
-    """The three task families as full sweeps over the checker's bound
-    run state; keeps its own previous-state list."""
+    """The task families and ``msi`` as full sweeps over the checker's
+    bound run state; keeps its own previous-state list."""
 
     def __init__(self, checker: InvariantChecker) -> None:
         self.checker = checker
@@ -194,9 +194,108 @@ class ReferenceSweep:
             ))
         return running
 
+    def msi(self, running: dict[int, list[tuple[Task, int]]], out: list) -> None:
+        """Same contract as ``InvariantChecker._check_msi``."""
+        c = self.checker
+        transfers = c.platform.transfers
+        node_ids = c._node_ids
+        exempt = c._replicas_may_vanish()
+
+        expected_pins: dict[tuple[int, int], int] = {}
+        commute_hids: set[int] = set()
+        for entries in running.values():
+            for task, node in entries:
+                for handle in task.sched.get("_pinned", ()):
+                    key = (handle.hid, node)
+                    expected_pins[key] = expected_pins.get(key, 0) + 1
+                for handle, mode in task.accesses:
+                    if mode is AccessMode.COMMUTE:
+                        commute_hids.add(handle.hid)
+
+        bounded = transfers._resident
+        for handle in c.program.handles:
+            label = handle.label
+            if not handle.valid_nodes and not exempt:
+                out.append(("msi", f"{label} has no valid replica anywhere"))
+            if not handle.valid_nodes.issubset(node_ids):
+                out.append((
+                    "msi",
+                    f"{label} valid on unknown nodes "
+                    f"{sorted(handle.valid_nodes - node_ids)}",
+                ))
+            for node in handle._in_flight:
+                if node not in handle.valid_nodes:
+                    out.append((
+                        "msi",
+                        f"{label} has a transfer in flight toward node {node} "
+                        f"but no (eagerly registered) replica there",
+                    ))
+            for node, count in handle._pins.items():
+                if count <= 0:
+                    out.append((
+                        "msi",
+                        f"{label} pin count on node {node} is {count} "
+                        f"(stored counts must stay positive)",
+                    ))
+                if (node not in handle.valid_nodes
+                        and handle.hid not in commute_hids):
+                    out.append((
+                        "msi",
+                        f"{label} pinned on node {node} but not valid there "
+                        f"(a running task's input was invalidated)",
+                    ))
+                want = expected_pins.get((handle.hid, node), 0)
+                if count != want:
+                    out.append((
+                        "msi",
+                        f"{label} pin count on node {node} is {count} but "
+                        f"running/staged tasks account for {want}",
+                    ))
+            for node in handle.valid_nodes:
+                if (node in bounded and handle.size > 0
+                        and node != handle.home_node
+                        and handle.hid not in bounded[node]):
+                    out.append((
+                        "msi",
+                        f"{label} valid on bounded node {node} but missing "
+                        f"from its residency accounting",
+                    ))
+        for (hid, node), want in expected_pins.items():
+            handle = c.program.handles[c._hidx[hid]]
+            if node not in handle._pins:
+                out.append((
+                    "msi",
+                    f"{handle.label} should be pinned {want}x on node {node} "
+                    f"by running/staged tasks but carries no pin",
+                ))
+
+        for mid, resident in bounded.items():
+            total = 0
+            for handle in resident.values():
+                total += handle.size
+                if mid not in handle.valid_nodes:
+                    out.append((
+                        "msi",
+                        f"{handle.label} accounted resident on node {mid} "
+                        f"but not valid there",
+                    ))
+            if total != transfers._usage[mid]:
+                out.append((
+                    "msi",
+                    f"node {mid} usage counter says {transfers._usage[mid]} "
+                    f"bytes but resident handles sum to {total}",
+                ))
+            if resident.keys() != transfers._last_use[mid].keys():
+                out.append((
+                    "msi",
+                    f"node {mid} LRU recency keys diverge from the resident "
+                    f"set",
+                ))
+
 
 class ReferenceChecker(InvariantChecker):
-    """An :class:`InvariantChecker` whose task families are the full sweep."""
+    """An :class:`InvariantChecker` whose incremental families are the
+    full sweep."""
 
     def begin_run(self, **kw) -> None:
         super().begin_run(**kw)
@@ -204,3 +303,6 @@ class ReferenceChecker(InvariantChecker):
 
     def _check_tasks(self, revealed, n_done, prev_now, out):
         return self.reference.check(revealed, n_done, prev_now, out)
+
+    def _check_msi(self, running, out):
+        self.reference.msi(running, out)

@@ -1,7 +1,8 @@
-"""The incremental task families agree with the full-sweep reference.
+"""The incremental checker families agree with the full-sweep reference.
 
 ``window``, ``conservation`` and ``task_state`` diff per-call snapshots
-instead of walking every task. These tests run them beside
+instead of walking every task, and ``msi`` re-checks only the data
+handles whose replica state changed. These tests run them beside
 :class:`tests.check.reference.ReferenceSweep` and require the same
 ``(family, detail)`` lists, order included, on every call; corrupted runs
 must raise the same error at the same check number.
@@ -19,8 +20,10 @@ import repro.check.invariants as invariants
 from repro.api import SimSpec
 from repro.apps.dense import cholesky_program
 from repro.apps.fmm import fmm_program
+from repro.platform.machines import MachineModel, intel_v100
 from repro.runtime.faults import FaultModel
-from repro.runtime.task import Task, TaskState
+from repro.runtime.platform_config import LinkSpec, MachineSpec, MemoryNodeSpec
+from repro.runtime.task import AccessMode, Task, TaskState
 from repro.schedulers.eager import Eager
 from repro.utils.validation import InvariantError
 from tests.check.reference import ReferenceChecker, ReferenceSweep
@@ -35,13 +38,14 @@ _CXL = TaskState.CANCELLED
 
 
 class DifferentialChecker(invariants.InvariantChecker):
-    """Runs the reference sweep beside the incremental task families and
+    """Runs the reference sweep beside the incremental families and
     asserts identical violations on every call.
 
     With ``rng`` set, each call may first corrupt task counters, task
-    states or the engine counters passed in; both sides judge the same
-    corrupted state, the corruption is undone before the engine goes on,
-    and violations are collected instead of raised.
+    states, the engine counters passed in, or replica state (handles and
+    bounded-node accounting); both sides judge the same corrupted state,
+    the corruption is undone before the engine goes on, and violations
+    are collected instead of raised.
     """
 
     rng: "random.Random | None" = None
@@ -51,6 +55,7 @@ class DifferentialChecker(invariants.InvariantChecker):
         super().begin_run(**kw)
         self.reference = ReferenceSweep(self)
         self.compared: list[list[tuple[str, str]]] = []
+        self.msi_compared: list[list[tuple[str, str]]] = []
         self.runs.append(self)
 
     def _corrupt(self, revealed: int, n_done: int):
@@ -87,6 +92,95 @@ class DifferentialChecker(invariants.InvariantChecker):
         self.compared.append(new)
         out.extend(new)
         return running
+
+    def _corrupt_msi(self):
+        """Corrupt one or two random handles or bounded nodes.
+
+        Each corruption swaps in a corrupted copy of one container and
+        returns how to put the original object back, so undoing it
+        restores identity and iteration order exactly.
+        """
+        rng = self.rng
+        undo = []
+        if rng.random() >= 0.3:
+            return undo
+        transfers = self.platform.transfers
+        nodes = sorted(self._node_ids)
+        for _ in range(rng.randint(1, 2)):
+            handle = rng.choice(self.program.handles)
+            kind = rng.choice((
+                "unknown-node", "non-positive-pin", "bump-pin", "in-flight",
+                "no-replica", "size", "home", "resident", "usage", "lru",
+            ))
+            if kind in ("resident", "usage", "lru"):
+                if not transfers._resident:
+                    continue
+                mid = rng.choice(sorted(transfers._resident))
+                if kind == "usage":
+                    usage = transfers._usage
+                    undo.append((usage, mid, usage[mid]))
+                    usage[mid] += rng.choice((-1, 1)) * max(1, handle.size)
+                    continue
+                table = (transfers._resident if kind == "resident"
+                         else transfers._last_use)
+                undo.append((table, mid, table[mid]))
+                entries = dict(table[mid])
+                if entries and (kind == "resident" or rng.random() < 0.5):
+                    del entries[rng.choice(sorted(entries))]
+                else:
+                    entries[handle.hid] = handle if kind == "resident" else 0.0
+                table[mid] = entries
+                continue
+            if kind == "size":
+                undo.append((handle, "size", handle.size))
+                handle.size += 1
+            elif kind == "home":
+                undo.append((handle, "home_node", handle.home_node))
+                handle.home_node = rng.choice(nodes)
+            elif kind in ("unknown-node", "no-replica"):
+                undo.append((handle, "valid_nodes", handle.valid_nodes))
+                handle.valid_nodes = set() if kind == "no-replica" else (
+                    handle.valid_nodes | {999}
+                )
+            elif kind == "in-flight":
+                absent = [n for n in nodes if n not in handle.valid_nodes]
+                if absent:
+                    undo.append((handle, "_in_flight", handle._in_flight))
+                    handle._in_flight = {
+                        **handle._in_flight, rng.choice(absent): 0.0
+                    }
+            else:
+                undo.append((handle, "_pins", handle._pins))
+                pins = dict(handle._pins)
+                if kind == "bump-pin" and pins:
+                    node = rng.choice(sorted(pins))
+                    pins[node] += 1
+                else:
+                    pins[rng.choice(nodes)] = (
+                        rng.choice((0, -1)) if kind == "non-positive-pin" else 1
+                    )
+                handle._pins = pins
+        return undo
+
+    def _check_msi(self, running, out):
+        undo = self._corrupt_msi() if self.rng is not None else []
+        new: list[tuple[str, str]] = []
+        ref: list[tuple[str, str]] = []
+        super()._check_msi(running, new)
+        self.reference.msi(running, ref)
+        if undo:
+            # Nothing moved since: the cached verdicts must come back.
+            again: list[tuple[str, str]] = []
+            super()._check_msi(running, again)
+            assert again == ref, f"check #{self.n_checks} (repeated)"
+        for target, key, value in reversed(undo):
+            if isinstance(target, dict):
+                target[key] = value
+            else:
+                setattr(target, key, value)
+        assert new == ref, f"check #{self.n_checks}"
+        self.msi_compared.append(new)
+        out.extend(new)
 
     def _check_conservation(self, revealed, n_done, out):
         if self.rng is None:
@@ -130,6 +224,13 @@ CONFIGS = {
         "small-hetero", "multiqueue", check_invariants=True, batch_step=500.0,
     ).run(cholesky_program(5, 384)),
     "controlled-stream": _overloaded_stream_run,
+    "gpu-memory-pressure": lambda: SimSpec(
+        intel_v100(gpu_memory_bytes=6 * 960 * 960 * 8), "multiprio",
+        check_invariants=True,
+    ).run(cholesky_program(6, 960)),
+    "dmdas": lambda: SimSpec(
+        "intel-v100", "dmdas", check_invariants=True
+    ).run(cholesky_program(6, 960)),
 }
 
 
@@ -153,15 +254,88 @@ class TestReferenceDifferential:
         assert cls.runs
         for checker in cls.runs:
             assert len(checker.compared) == checker.n_checks > 0
-            assert not any(checker.compared)
+            assert len(checker.msi_compared) == checker.n_checks
+            assert not any(checker.compared) and not any(checker.msi_compared)
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_corrupted_states_match_reference(self, config, differential):
         cls = differential(random.Random(config))
         CONFIGS[config]()
-        flagged = [v for checker in cls.runs for v in checker.compared if v]
+        flagged = [
+            v for checker in cls.runs
+            for v in checker.compared + checker.msi_compared if v
+        ]
         families = {f for violations in flagged for f, _ in violations}
-        assert flagged and {"conservation", "task_state"} <= families
+        assert flagged and {"conservation", "task_state", "msi"} <= families
+
+    def test_memory_pressure_config_evicts(self, differential):
+        cls = differential()
+        CONFIGS["gpu-memory-pressure"]()
+        assert any(c.platform.transfers.n_evictions for c in cls.runs)
+
+
+class TestMsiCachedVerdicts:
+    """A handle or node whose state did not change keeps no stale verdict
+    when another input of its check did. White-box: each test corrupts a
+    finished run's state and calls the checker (beside the reference)
+    with no running tasks."""
+
+    def finished(self, differential, config):
+        cls = differential()
+        CONFIGS[config]()
+        return cls.runs[0]
+
+    def msi(self, checker, running=None) -> list[tuple[str, str]]:
+        out: list[tuple[str, str]] = []
+        checker._check_msi(running or {}, out)
+        return out
+
+    def test_replica_loss_exemption_rejudges_unchanged_handles(self, differential):
+        checker = self.finished(differential, "window-4")
+        handle = checker.program.handles[0]
+        handle.valid_nodes.clear()
+        handle._in_flight.clear()
+        assert self.msi(checker) == [
+            ("msi", f"{handle.label} has no valid replica anywhere")
+        ]
+        # small-hetero's GPU node has one worker; killing it lets the
+        # engine drop replicas, which exempts the unchanged handle.
+        gpu = next(w for w in checker.platform.workers if w.arch == "cuda")
+        checker.ctx.mark_worker_dead(gpu)
+        assert self.msi(checker) == []
+
+    def test_commute_membership_rejudges_pins(self, differential):
+        checker = self.finished(differential, "fmm-commute")
+        task, handle = next(
+            (t, h) for t in checker.program.tasks
+            for h, mode in t.accesses if mode is AccessMode.COMMUTE
+        )
+        node = next(m for m in checker._node_ids if m not in handle.valid_nodes)
+        handle._pins[node] = 1
+        assert len(self.msi(checker)) == 2  # not valid there; no pinner
+        # A running commuter that pins nothing exempts the invalid pin.
+        task.sched["_pinned"] = ()
+        assert len(self.msi(checker, {task.tid: [(task, node)]})) == 1
+
+    def test_home_node_change_rejudges_residency(self, differential):
+        checker = self.finished(differential, "gpu-memory-pressure")
+        transfers = checker.platform.transfers
+        mid = _resident_node(transfers)
+        handle = transfers._resident[mid].pop(next(iter(transfers._resident[mid])))
+        del transfers._last_use[mid][handle.hid]
+        transfers._usage[mid] -= handle.size
+        assert any("missing from its residency" in d for _, d in self.msi(checker))
+        handle.home_node = mid  # a home replica is never accounted
+        assert self.msi(checker) == []
+
+    def test_node_violations_persist_while_nothing_changes(self, differential):
+        checker = self.finished(differential, "gpu-memory-pressure")
+        usage = checker.platform.transfers._usage
+        mid = next(iter(usage))
+        usage[mid] += 1
+        first = self.msi(checker)
+        assert any("usage counter" in d for _, d in first)
+        assert self.msi(checker) == first
 
 
 class PopSaboteur(Eager):
@@ -196,7 +370,7 @@ def _sink(program, popped):
 
 
 def _set(pick, state):
-    def corrupt(program, popped):
+    def corrupt(program, popped, transfers):
         pick(program, popped).state = state
         return popped
     return corrupt
@@ -211,7 +385,7 @@ def _ready_last(program, popped):
     )
 
 
-def _run_twice(program, popped):
+def _run_twice(program, popped, transfers):
     # READY again passes the engine's pop-time check, so the popping
     # worker starts (or stages) a task that is already held.
     task = _running(program, popped)
@@ -219,13 +393,73 @@ def _run_twice(program, popped):
     return task
 
 
-def _drift(program, popped):
+def _drift(program, popped, transfers):
     program.tasks[-1].n_unfinished_preds += 1
     return popped
 
 
-#: name -> (program factory, pop number, corrupt(program, popped), extra
-#: SimSpec keywords, expected detail).
+def _msi(corrupt):
+    """Corrupt replica state; the popped task is handed out unchanged."""
+    def apply(program, popped, transfers):
+        corrupt(program, transfers)
+        return popped
+    return apply
+
+
+def _pinned_input(program):
+    """A handle a running task pinned (in its acquire)."""
+    task = next(
+        t for t in program.tasks
+        if t.state is _RUNNING and t.sched.get("_pinned")
+    )
+    return task.sched["_pinned"][0]
+
+
+def _bump_pin(program, transfers):
+    handle = _pinned_input(program)
+    handle._pins[next(iter(handle._pins))] += 1
+
+
+def _bounded_gpu():
+    """One CPU and one GPU with bounded memory, so residency is accounted
+    from the GPU's first fetch on."""
+    spec = MachineSpec(
+        name="bounded-gpu",
+        nodes=(
+            MemoryNodeSpec("ram", "ram", "cpu", 1),
+            MemoryNodeSpec("gpu0", "gpu", "cuda", 1, capacity=2**30),
+        ),
+        links=(
+            LinkSpec("ram", "gpu0", 12.0, 8.0),
+            LinkSpec("gpu0", "ram", 12.0, 8.0),
+        ),
+    )
+    return MachineModel(spec, cpu_scale=1.0, gpu_scale=1.0)
+
+
+def _resident_node(transfers):
+    """A bounded node that holds at least one accounted replica."""
+    return next(mid for mid, res in transfers._resident.items() if res)
+
+
+def _drop_resident(program, transfers):
+    resident = transfers._resident[_resident_node(transfers)]
+    del resident[next(iter(resident))]
+
+
+def _usage_drift(program, transfers):
+    transfers._usage[_resident_node(transfers)] += 1
+
+
+def _lru_desync(program, transfers):
+    # A recency entry for no resident handle (a dropped one could be
+    # re-touched by the popped task's acquire).
+    transfers._last_use[_resident_node(transfers)][-1] = 0.0
+
+
+#: name -> (program factory, pop number, corrupt(program, popped,
+#: transfers), extra SimSpec keywords (``machine`` picks the platform),
+#: expected detail).
 CORRUPTIONS = {
     "ready-never-submitted": (
         lambda: cholesky_program(5, 384), 2, _set(_sink, _READY),
@@ -267,6 +501,52 @@ CORRUPTIONS = {
         lambda: make_fork_join_program(width=8), 2, _set(_sink, _CXL),
         {}, r"\[task_state\].*SUBMITTED -> CANCELLED \(control-only",
     ),
+    "msi-unknown-node": (
+        lambda: make_fork_join_program(width=8), 3,
+        _msi(lambda program, _: program.handles[1].valid_nodes.add(999)),
+        {}, r"\[msi\] m0 valid on unknown nodes \[999\]",
+    ),
+    "msi-non-positive-pin": (
+        lambda: make_fork_join_program(width=8), 3,
+        _msi(lambda program, _: program.handles[-1]._pins.__setitem__(1, 0)),
+        {}, r"\[msi\] sink pin count on node 1 is 0 \(stored counts must stay",
+    ),
+    "msi-bumped-pin": (
+        lambda: make_fork_join_program(width=8), 3, _msi(_bump_pin),
+        {}, r"\[msi\] root pin count on node \d+ is \d+ but running/staged "
+            r"tasks account for",
+    ),
+    "msi-in-flight-without-replica": (
+        lambda: make_fork_join_program(width=8), 3,
+        _msi(lambda program, _: program.handles[-1]._in_flight.__setitem__(1, 0.0)),
+        {}, r"\[msi\] sink has a transfer in flight toward node 1",
+    ),
+    "msi-no-replica-after-cpu-death": (
+        lambda: make_fork_join_program(width=8), 3,
+        _msi(lambda program, _: program.handles[-1].valid_nodes.clear()),
+        {"faults": FaultModel(worker_kills={0: 1.0})},
+        r"\[msi\] sink has no valid replica anywhere",
+    ),
+    "msi-resident-dropped": (
+        lambda: make_fork_join_program(width=8), 6, _msi(_drop_resident),
+        {"machine": _bounded_gpu()},
+        r"\[msi\].*missing from its residency accounting",
+    ),
+    "msi-usage-drift": (
+        lambda: make_fork_join_program(width=8), 6, _msi(_usage_drift),
+        {"machine": _bounded_gpu()}, r"\[msi\] node \d+ usage counter says",
+    ),
+    "msi-lru-desync": (
+        lambda: make_fork_join_program(width=8), 6, _msi(_lru_desync),
+        {"machine": _bounded_gpu()},
+        r"\[msi\] node \d+ LRU recency keys diverge",
+    ),
+    "msi-untouched-handle-drift": (
+        lambda: cholesky_program(6, 384), 2,
+        _msi(lambda program, _: program.handles[-1]._pins.__setitem__(0, 1)),
+        {}, r"\[msi\] A\[5,4\] pin count on node 0 is 1 but running/staged "
+            r"tasks account for 0",
+    ),
 }
 
 
@@ -275,8 +555,13 @@ class TestCorruptionMatchesReference:
         make, after, corrupt, kw, _ = CORRUPTIONS[name]
         monkeypatch.setattr(invariants, "InvariantChecker", checker_cls)
         program = make()
-        sched = PopSaboteur(after, lambda popped: corrupt(program, popped))
-        spec = SimSpec("small-hetero", sched, check_invariants=True, **kw)
+        sched = PopSaboteur(
+            after,
+            lambda popped: corrupt(program, popped, sched.ctx.platform.transfers),
+        )
+        kw = dict(kw)
+        machine = kw.pop("machine", "small-hetero")
+        spec = SimSpec(machine, sched, check_invariants=True, **kw)
         with pytest.raises(InvariantError) as err:
             spec.run(program)
         return str(err.value)

@@ -115,6 +115,18 @@ class TestCorruptionCaught:
                 lambda: program.handles[0]._pins.__setitem__(0, 5),
             )
 
+    def test_msi_no_replica_after_cpu_worker_death(self):
+        # A CPU death drops no replica (only a device memory losing its
+        # last worker does), so a handle left with none is still caught.
+        program = make_fork_join_program(width=8)
+        with pytest.raises(
+            InvariantError, match=r"\[msi\] sink has no valid replica anywhere"
+        ):
+            self.run_sabotaged(
+                program, 3, lambda: program.handles[-1].valid_nodes.clear(),
+                fault_model=FaultModel(worker_kills={0: 1.0}),
+            )
+
     def test_link_clock_moved_backward(self):
         program = cholesky_program(4, 384)
         machine = small_hetero(n_cpus=4, n_gpus=1)
