@@ -64,9 +64,10 @@ register_scheduler("multiprio-seqpush", _SeqPushMultiPrio, override=True)
 #: Scheduler/engine variants measured by the light-stream entry:
 #: name -> (scheduler, batch_step, batch_drain_on_idle).
 #: ``multiprio-batch500`` exercises MultiPrio's bulk ``push_batch``
-#: override (one hoisted scoring/insert pass over the whole buffer);
-#: ``multiprio-batch500-seqpush`` is the same engine configuration with
-#: sequential pushes, isolating the override's sched-core saving.
+#: override, which runs push's per-task insert but clears the BRW and
+#: miss memos once per batch and samples queue-depth gauges once per
+#: touched node; ``multiprio-batch500-seqpush`` is the same engine
+#: configuration with sequential pushes, isolating that saving.
 LIGHT_VARIANTS: dict[str, tuple[str, float | None, bool]] = {
     "multiprio-per-event": ("multiprio", None, True),
     "multiprio-batch500": ("multiprio", 500.0, False),

@@ -67,10 +67,14 @@ class GainTracker:
     — so the very first task on a fresh tracker already receives a
     non-degenerate score (its own difference defines hd), matching the
     Table II example where hd is the maximum over the displayed task set.
+
+    ``version`` counts hd rises and resets: scores computed at an
+    unchanged version are still current.
     """
 
     def __init__(self) -> None:
         self._hd: dict[str, float] = {}
+        self.version = 0
 
     def hd(self, arch: str) -> float:
         """Current highest recorded difference for ``arch``."""
@@ -88,8 +92,14 @@ class GainTracker:
                 diff = abs(ref - delta)
                 if diff > self._hd.get(arch, 0.0):
                     self._hd[arch] = diff
+                    self.version += 1
+        return gain_scores(deltas, self._hd)
+
+    def score(self, deltas: dict[str, float]) -> dict[str, float]:
+        """Gain scores under the current hd(a), observing nothing."""
         return gain_scores(deltas, self._hd)
 
     def reset(self) -> None:
         """Forget all recorded differences."""
         self._hd.clear()
+        self.version += 1

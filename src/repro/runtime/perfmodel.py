@@ -103,10 +103,11 @@ class PerfModel(Protocol):
     """What the engine and schedulers need from a performance model.
 
     Implementations may additionally expose a ``stable_estimates``
-    class attribute: ``True`` promises that ``estimate()`` is constant
-    for a given (task, arch) over a whole run, licensing schedulers to
-    cache the value at push time. Absent or ``False`` (e.g. history
-    models that learn mid-run) means estimates must be queried live.
+    class attribute: ``True`` promises that δ(t, a) is a function of
+    ``(t.type_name, t.flops, a)`` for a whole run, licensing schedulers
+    to cache it per task at push time and per kernel class across tasks
+    (MultiPrio does both). Absent or ``False`` (e.g. history models that
+    learn mid-run) means estimates must be queried live.
     """
 
     def estimate(self, task: Task, arch: str) -> float:

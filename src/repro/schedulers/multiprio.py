@@ -56,6 +56,18 @@ restructures a heap even when no take follows. The memo is bypassed when
 
 The memo changes no schedule, counter or event: it only skips work
 whose answer is already known.
+
+Push-time class memo. With stable estimates δ(t, a) depends only on the
+*kernel class* ``(type_name, flops, implementations)``, so PUSH scores a
+class once — δ per arch, best arch, Eq. 1 gains — and reuses it. The node
+lanes (heap inserts, NOD trackers) are shared per ``implementations``, so
+a class that is pushed only once (flops vary per FMM leaf or QR front)
+costs just its δ and gains dicts. Skipping ``observe_and_score`` on a repeat is exact (δ values
+already observed cannot raise ``hd``); when any ``hd`` rises
+(``GainTracker.version``), cached gains are re-scored before use. A fault
+retry keeps its cached best arch; NOD, the deadline boost and the inserts
+stay per task. History models bypass the class memo (not the lanes);
+``setup`` and ``on_worker_failed`` (heaps, available archs) clear both.
 """
 
 from __future__ import annotations
@@ -74,6 +86,14 @@ from repro.utils.validation import ValidationError, check_in_range, check_positi
 
 #: Sort key of a heap entry, without the ``HeapEntry.key`` call frame.
 _SORT_KEY = attrgetter("sort_key")
+
+
+class _KernelClass:
+    """One kernel class's push-time scoring; ``version`` is the
+    ``GainTracker.version`` its ``gains`` were scored at, ``lanes`` the
+    list shared by its ``implementations``."""
+
+    __slots__ = ("deltas", "best_arch", "gains", "version", "lanes")
 
 
 class MultiPrio(Scheduler):
@@ -172,6 +192,10 @@ class MultiPrio(Scheduler):
         self._miss_memo: dict[tuple[int, str], int] = {}
         # Whether pop() may use the memo this run (set in setup()).
         self._memo_misses = False
+        # Push-time class memo (see the module docstring), and the node
+        # lanes shared by every class with the same implementations.
+        self._class_memo: dict[tuple, _KernelClass] = {}
+        self._lanes: dict[frozenset[str], list[tuple]] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -192,6 +216,8 @@ class MultiPrio(Scheduler):
         self._brw_memo = {}
         self._stable_deltas = bool(getattr(ctx.perfmodel, "stable_estimates", False))
         self._miss_memo = {}
+        self._class_memo = {}
+        self._lanes = {}
         self._memo_misses = (
             self._stable_deltas and not self.relaxed and not self.evict_on_reject
         )
@@ -240,45 +266,7 @@ class MultiPrio(Scheduler):
     def push(self, task: Task) -> None:
         """Alg. 1: score the ready task and insert it into every heap
         whose processing units can execute it."""
-        ctx = self.ctx
-        archs = ctx.exec_archs(task)
-        deltas = {a: ctx.estimate(task, a) for a in archs}
-        gains = self._gain.observe_and_score(deltas)
-        best_arch = ctx.best_arch(task)
-        boost_gain = self._boost_gain(task)
-        # The raw NOD is arch-independent unless filtering is on; the
-        # per-arch trackers below still observe it in node order.
-        raw_nod = 0.0
-        if self.use_criticality and not self.arch_filtered_nod:
-            raw_nod = nod(task)
-
-        brw_nodes: list[int] = []
-        entries: dict[int, HeapEntry] = {}
-        for node in ctx.platform.nodes:
-            mid = node.mid
-            heap = self.heaps.get(mid)
-            if heap is None or not task.can_exec(node.arch):
-                continue
-            gain = gains[node.arch] if boost_gain is None else boost_gain
-            if self.use_criticality:
-                if self.arch_filtered_nod:
-                    arch = node.arch
-                    raw = nod(task, lambda t, _a=arch: t.can_exec(_a))
-                else:
-                    raw = raw_nod
-                prio = self._nod[node.arch].observe_and_score(raw)
-            else:
-                prio = 0.0
-            entries[mid] = heap.insert(task, gain, prio)
-            self.ready_tasks_count[mid] += 1
-            if node.arch == best_arch:
-                self.best_remaining_work[mid] += deltas[best_arch]
-                brw_nodes.append(mid)
-
-        task.sched["mp_entries"] = entries
-        task.sched["mp_brw_nodes"] = brw_nodes
-        task.sched["mp_best_delta"] = deltas[best_arch]
-        task.sched["mp_deltas"] = deltas
+        entries = self._insert(task)
         self._brw_memo.clear()
         self._miss_memo.clear()
         if self.obs is not None:
@@ -315,88 +303,86 @@ class MultiPrio(Scheduler):
         nicer but changes the physical slot layout, and
         ``top_candidates`` exposes the first-n slots — the candidate
         windows (and with them the schedule) would differ. The savings
-        are amortization instead: loop-invariant context/tracker/heap
-        lookups are hoisted out of the per-task loop, the BRW and miss
-        memos are cleared once instead of per task, and queue-depth
-        gauges are sampled once per touched node instead of once per
-        (task, node).
+        are amortization instead: the BRW and miss memos are cleared once
+        instead of per task, and queue-depth gauges are sampled once per
+        touched node instead of once per (task, node).
         """
-        if len(tasks) < 2:
-            for task in tasks:
-                self.push(task)
-            return
-        ctx = self.ctx
-        available = ctx.available_archs
-        # `ctx.estimate` / `ctx.exec_archs` / `ctx.best_arch` are pure
-        # forwarders over the perf model and the availability list; the
-        # loop below inlines them (same values, same tie-breaking order)
-        # to shed one call frame per (task, arch).
-        estimate = ctx.perfmodel.estimate
-        best_arch_of = ctx.best_arch
-        observe_gain = self._gain.observe_and_score
-        boost_gain_of = self._boost_gain if self.deadline_boost is not None else None
-        use_crit = self.use_criticality
-        arch_filtered = self.arch_filtered_nod
-        counts = self.ready_tasks_count
-        brw = self.best_remaining_work
-        # (mid, arch, bound heap insert, bound NOD observe) per node.
-        lanes = [
-            (
-                n.mid,
-                n.arch,
-                self.heaps[n.mid].insert,
-                self._nod[n.arch].observe_and_score if use_crit else None,
-            )
-            for n in ctx.platform.nodes
-            if n.mid in self.heaps
-        ]
         touched: set[int] = set()
         for task in tasks:
-            can_exec = task.can_exec
-            sched = task.sched
-            archs = [a for a in available if can_exec(a)]
-            deltas = {a: estimate(task, a) for a in archs}
-            gains = observe_gain(deltas)
-            best_arch = sched.get("_best_arch")
-            if best_arch is None:
-                if archs:
-                    best_arch = min(archs, key=deltas.__getitem__)
-                    sched["_best_arch"] = best_arch
-                else:
-                    best_arch = best_arch_of(task)  # raises SchedulingError
-            boost_gain = None if boost_gain_of is None else boost_gain_of(task)
-            raw_nod = 0.0
-            if use_crit and not arch_filtered:
-                raw_nod = nod(task)
-            brw_nodes: list[int] = []
-            entries: dict[int, HeapEntry] = {}
-            for mid, arch, insert, observe_nod in lanes:
-                if not can_exec(arch):
-                    continue
-                gain = gains[arch] if boost_gain is None else boost_gain
-                if observe_nod is not None:
-                    if arch_filtered:
-                        raw = nod(task, lambda t, _a=arch: t.can_exec(_a))
-                    else:
-                        raw = raw_nod
-                    prio = observe_nod(raw)
-                else:
-                    prio = 0.0
-                entries[mid] = insert(task, gain, prio)
-                counts[mid] += 1
-                if arch == best_arch:
-                    brw[mid] += deltas[best_arch]
-                    brw_nodes.append(mid)
-            sched["mp_entries"] = entries
-            sched["mp_brw_nodes"] = brw_nodes
-            sched["mp_best_delta"] = deltas[best_arch]
-            sched["mp_deltas"] = deltas
-            touched.update(entries)
+            touched.update(self._insert(task))
         self._brw_memo.clear()
         self._miss_memo.clear()
         if self.obs is not None:
             for mid in sorted(touched):
-                self.record_queue_depth(f"heap_depth.node{mid}", counts[mid])
+                self.record_queue_depth(
+                    f"heap_depth.node{mid}", self.ready_tasks_count[mid]
+                )
+
+    def _insert(self, task: Task) -> dict[int, HeapEntry]:
+        """Alg. 1 for one task, without the memo clears and gauges of
+        :meth:`push`; returns the new entries by memory node."""
+        kc = self._kernel_class(task)
+        sched = task.sched
+        # A fault retry keeps the best arch cached at its first push.
+        best_arch = sched.setdefault("_best_arch", kc.best_arch)
+        best_delta = kc.deltas[best_arch]
+        boost_gain = self._boost_gain(task)
+        arch_filtered = self.arch_filtered_nod
+        # The raw NOD is arch-independent unless filtering is on; the
+        # per-arch trackers below still observe it in node order.
+        raw_nod = nod(task) if self.use_criticality and not arch_filtered else 0.0
+        brw_nodes: list[int] = []
+        entries: dict[int, HeapEntry] = {}
+        for mid, arch, insert, observe_nod in kc.lanes:
+            gain = kc.gains[arch] if boost_gain is None else boost_gain
+            if observe_nod is None:
+                prio = 0.0
+            elif arch_filtered:
+                prio = observe_nod(nod(task, lambda t, _a=arch: t.can_exec(_a)))
+            else:
+                prio = observe_nod(raw_nod)
+            entries[mid] = insert(task, gain, prio)
+            self.ready_tasks_count[mid] += 1
+            if arch == best_arch:
+                self.best_remaining_work[mid] += best_delta
+                brw_nodes.append(mid)
+        sched["mp_entries"] = entries
+        sched["mp_brw_nodes"] = brw_nodes
+        sched["mp_best_delta"] = best_delta
+        sched["mp_deltas"] = kc.deltas
+        return entries
+
+    def _kernel_class(self, task: Task) -> _KernelClass:
+        """The arch-dependent half of Alg. 1 for ``task``'s kernel class
+        (memoized under a stable perf model; module docstring)."""
+        gain = self._gain
+        key = (task.type_name, task.flops, task.implementations)
+        kc = self._class_memo.get(key) if self._stable_deltas else None
+        if kc is not None:
+            if kc.version != gain.version:
+                kc.gains = gain.score(kc.deltas)
+                kc.version = gain.version
+            return kc
+        ctx = self.ctx
+        archs = ctx.exec_archs(task)
+        kc = _KernelClass()
+        kc.deltas = deltas = {a: ctx.estimate(task, a) for a in archs}
+        kc.gains = gain.observe_and_score(deltas)  # raises without an arch
+        kc.version = gain.version
+        kc.best_arch = min(archs, key=deltas.__getitem__)
+        impls = task.implementations
+        kc.lanes = self._lanes.get(impls)
+        if kc.lanes is None:  # (mid, arch, bound heap insert, bound NOD observe)
+            crit = self.use_criticality
+            kc.lanes = self._lanes[impls] = [
+                (n.mid, n.arch, self.heaps[n.mid].insert,
+                 self._nod[n.arch].observe_and_score if crit else None)
+                for n in ctx.platform.nodes
+                if n.mid in self.heaps and n.arch in impls
+            ]
+        if self._stable_deltas:
+            self._class_memo[key] = kc
+        return kc
 
     # -- POP (Alg. 2) ----------------------------------------------------------
 
@@ -626,6 +612,8 @@ class MultiPrio(Scheduler):
         """
         self._brw_memo.clear()  # worker counts (drain divisor) changed
         self._miss_memo.clear()
+        self._class_memo.clear()  # available archs and heaps may change
+        self._lanes.clear()
         mid = worker.memory_node
         if self.ctx.workers_of_node(mid):
             return []  # surviving streams keep serving this heap

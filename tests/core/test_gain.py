@@ -111,3 +111,51 @@ class TestGainProperties:
         tracker.observe_and_score({"cpu": 5.0, "cuda": 1.0})
         tracker.reset()
         assert tracker.hd("cpu") == 0.0
+
+
+class TestTrackerVersion:
+    """``version`` moves exactly when cached scores may be out of date."""
+
+    def test_bumps_exactly_when_a_maximum_rises(self):
+        tracker = GainTracker()
+        assert tracker.version == 0
+        tracker.observe_and_score({"cpu": 5.0})  # one arch: no difference
+        assert tracker.version == 0
+        tracker.observe_and_score({"cpu": 5.0, "cuda": 1.0})
+        after_first = tracker.version
+        assert after_first > 0
+        tracker.observe_and_score({"cpu": 3.0, "cuda": 1.0})  # smaller diff
+        assert tracker.version == after_first
+        tracker.observe_and_score({"cpu": 50.0, "cuda": 1.0})
+        assert tracker.version > after_first
+
+    def test_reobserving_the_same_deltas_changes_nothing(self):
+        tracker = GainTracker()
+        deltas = {"cpu": 9.0, "cuda": 2.0, "opencl": 4.0}
+        first = tracker.observe_and_score(deltas)
+        hd = {a: tracker.hd(a) for a in deltas}
+        version = tracker.version
+        again = tracker.observe_and_score(dict(deltas))
+        assert again == first
+        assert {a: tracker.hd(a) for a in deltas} == hd
+        assert tracker.version == version
+
+    def test_reset_bumps_version(self):
+        tracker = GainTracker()
+        tracker.reset()
+        assert tracker.version == 1
+        tracker.observe_and_score({"cpu": 5.0, "cuda": 1.0})
+        before = tracker.version
+        tracker.reset()
+        assert tracker.version == before + 1
+
+    def test_score_matches_gain_scores_without_observing(self):
+        tracker = GainTracker()
+        tracker.observe_and_score({"cpu": 5.0, "cuda": 1.0})
+        version = tracker.version
+        deltas = {"cpu": 100.0, "cuda": 1.0}  # would raise hd if observed
+        assert tracker.score(deltas) == gain_scores(
+            deltas, {"cpu": tracker.hd("cpu"), "cuda": tracker.hd("cuda")}
+        )
+        assert tracker.version == version
+        assert tracker.hd("cpu") == 4.0
