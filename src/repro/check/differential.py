@@ -33,7 +33,10 @@ properties a correct simulator cannot violate regardless of policy:
   on a program naming no resources must equal ``resources=None``, and
   tagging a stream's jobs with deadlines must not move a single task
   under a deadline-oblivious scheduler — the rt subsystems may only
-  change a schedule when they are genuinely engaged.
+  change a schedule when they are genuinely engaged. All three idle
+  ledgers together (zero overheads, an idle resource protocol, an
+  uncapped power model) under the checker must equal a ledger-free run:
+  the engine's run hooks compose without perturbing anything.
 * **Power no-op equivalence** — a *passive*
   :class:`~repro.runtime.power.PowerStateModel` (no node caps, fastest
   runnable state at full speed) must reproduce the power-blind run
@@ -473,7 +476,7 @@ def check_rt_noop_equivalence(
 ) -> list[CheckOutcome]:
     """Disengaged rt subsystems must not move a single task.
 
-    Three bit-identity properties per scheduler, all on the same Poisson
+    Four bit-identity properties per scheduler, all on the same Poisson
     stream:
 
     * ``SchedOverheadModel()`` (all costs zero) vs ``overhead=None`` —
@@ -484,10 +487,15 @@ def check_rt_noop_equivalence(
     * the deadline-tagged stream vs the same stream undecorated — a
       deadline-oblivious policy must schedule identically whether or
       not ``Task.deadline_us`` is set (deadlines are data, not control,
-      until a policy opts in).
+      until a policy opts in);
+    * all three ledgers idle at once — ``SchedOverheadModel()``,
+      ``ResourceProtocol()`` and an uncapped ``PowerStateModel()``, with
+      the invariant checker on — vs none of them: the engine's run
+      hooks must compose, not just each be a no-op alone.
     """
     from repro.api import SimConfig, SimSpec
     from repro.runtime.overhead import SchedOverheadModel
+    from repro.runtime.power import PowerStateModel
     from repro.runtime.resources import ResourceProtocol
     from repro.workload.stream import poisson_stream
 
@@ -534,6 +542,17 @@ def check_rt_noop_equivalence(
             fingerprint(plain.sim) == fingerprint(tagged.sim),
             "tagging jobs with deadlines perturbed a deadline-oblivious "
             "scheduler",
+        ))
+        all_idle = SimSpec(
+            machine, scheduler, config=cfg, isolated_baseline=False,
+            overhead=SchedOverheadModel(), resources=ResourceProtocol(),
+            power=PowerStateModel(), check_invariants=True,
+        ).run_stream(_stream(None))
+        out.append(CheckOutcome(
+            f"rt.ledgers_noop[{scheduler}]",
+            fingerprint(plain.sim) == fingerprint(all_idle.sim),
+            "an all-zero overhead model, an idle resource protocol and an "
+            "uncapped power model together perturbed the stream schedule",
         ))
     return out
 

@@ -32,8 +32,10 @@ these again; the cached verdicts of the rest are reported unchanged. A
 bounded node's residency is re-walked only when it or one of its
 resident handles changed, or when it was in violation. Drift on a
 handle no event touched is still caught at the next call.
-``scheduler`` is the policy's own audit and sweeps its whole state; the
-``rt`` ledgers are consumed incrementally.
+``scheduler`` is the policy's own audit and sweeps its whole state.
+The ``rt`` and ``energy`` families are the run hooks' own audits
+(``audit(now)`` on each ledger); the resource grant log is consumed
+incrementally.
 
 ``clock``
     Event times never move backward.
@@ -81,23 +83,15 @@ handle no event touched is still caught at the next call.
 ``rt``
     Real-time extensions only. Slack bookkeeping: every merged task's
     absolute deadline lies inside its job's ``(arrival, deadline]``
-    window (checked once at run start). Overhead conservation: the
-    ledger's ``charged_us`` equals the counter-weighted sum of the
-    model's per-decision costs and the virtual scheduler-core clock
-    never retreats. Resource exclusion: per resource, the granted
-    intervals in the ledger never overlap — no two simultaneous
-    holders.
+    window (checked once at run start). Overhead conservation and a
+    scheduler-core clock that never retreats
+    (:meth:`repro.runtime.overhead.OverheadLedger.audit`); per
+    resource, granted intervals never overlap
+    (:meth:`repro.runtime.resources.ResourceLedger.audit`).
 ``energy``
-    Power-subsystem runs only (``SimConfig(power=...)``). Cap safety:
-    the busy draw flowing on every capped node — the sum over booked
-    reservations whose span covers the current clock — never exceeds
-    the node's cap. Time conservation: each worker's accrued busy
-    microseconds (all states summed) never exceed the elapsed virtual
-    clock, and the ledger's busy total equals the per-worker/per-state
-    sum exactly (joules are per-worker products of these, so additivity
-    across workers follows). Counters: admissions, throttles, throttle
-    delay and busy time are all monotone, and throttles never outnumber
-    admissions.
+    Power-subsystem runs only: node draw within its cap, busy time
+    within the clock and additive across workers, monotone counters
+    (:meth:`repro.runtime.power.PowerLedger.audit`).
 
 Violations are emitted as
 :class:`~repro.obs.events.InvariantViolation` events (when observability
@@ -196,16 +190,15 @@ class InvariantChecker:
         control=None,
         batch_pending: list[Task] | None = None,
         batch_drain: bool = True,
-        overhead_ledger=None,
-        resource_ledger=None,
-        power_ledger=None,
+        hooks: tuple = (),
     ) -> None:
         """Bind one run's live state and snapshot the starting point.
 
         ``releases`` must be the engine's own (possibly mutable) list so
         control-plane delay decisions stay visible to the window check;
         ``control`` is the bound :class:`~repro.control.ControlPlane`, or
-        ``None`` for uncontrolled runs.
+        ``None`` for uncontrolled runs. ``hooks`` are the run's ledgers;
+        each one's ``audit(now)`` reports its own violations.
         """
         self.program = program
         self.platform = platform
@@ -220,17 +213,7 @@ class InvariantChecker:
         self.control = control
         self.batch_pending = batch_pending
         self.batch_drain = batch_drain
-        self.overhead_ledger = overhead_ledger
-        self.resource_ledger = resource_ledger
-        self.power_ledger = power_ledger
-        # rt family incremental state: consumed grant-ledger prefix,
-        # per-resource latest granted end, sched-core clock floor.
-        self._rt_grant_idx = 0
-        self._rt_res_end: dict[str, float] = {}
-        self._rt_sched_floor = 0.0
-        # energy family monotone floors: (admissions, throttles,
-        # throttle delay, busy total).
-        self._energy_floor = (0, 0, 0.0, 0.0)
+        self.hooks = hooks
         self.n_checks = 0
         self._node_of_wid = {w.wid: w.memory_node for w in platform.workers}
         self._node_ids = {n.mid for n in platform.nodes}
@@ -285,10 +268,8 @@ class InvariantChecker:
         self._check_msi(running, violations)
         if self.batch_pending is not None:
             self._check_batch(revealed, prev_now, violations)
-        if self.overhead_ledger is not None or self.resource_ledger is not None:
-            self._check_rt(violations)
-        if self.power_ledger is not None:
-            self._check_energy(violations)
+        for hook in self.hooks:
+            violations.extend(hook.audit(self._last_now))
         for detail in self.scheduler.check():
             violations.append(("scheduler", str(detail)))
         if self.control is not None:
@@ -471,128 +452,6 @@ class InvariantChecker:
                 "batch",
                 f"{len(pending)} task(s) buffered but no BATCH_FLUSH event "
                 f"is queued: the batch leaked",
-            ))
-
-    def _check_rt(self, out: list) -> None:
-        """Real-time bookkeeping: overhead conservation and resource
-        mutual exclusion.
-
-        The overhead ledger's total charge must always equal the
-        counter-weighted sum of the model's per-decision costs, and the
-        virtual scheduler core's clock may never retreat. The resource
-        ledger's grant log is audited incrementally: per resource,
-        granted intervals must never overlap — two holders of one
-        resource at once would break the protocol's core promise.
-        """
-        ov = self.overhead_ledger
-        if ov is not None:
-            m = ov.model
-            expected = (
-                m.push_us * ov.n_push
-                + m.pop_us * ov.n_pop
-                + m.flush_us * ov.n_flush
-                + m.batch_task_us * ov.n_flush_tasks
-            )
-            if abs(expected - ov.charged_us) > 1e-6 + 1e-9 * abs(expected):
-                out.append((
-                    "rt",
-                    f"overhead charge leaked: ledger says {ov.charged_us}us "
-                    f"but counters ({ov.n_push} push, {ov.n_pop} pop, "
-                    f"{ov.n_flush} flush over {ov.n_flush_tasks} tasks) "
-                    f"account for {expected}us",
-                ))
-            if ov.sched_free < self._rt_sched_floor:
-                out.append((
-                    "rt",
-                    f"scheduler-core clock moved backward: "
-                    f"{self._rt_sched_floor} -> {ov.sched_free}",
-                ))
-            else:
-                self._rt_sched_floor = ov.sched_free
-        res = self.resource_ledger
-        if res is not None:
-            grants = res.grants
-            ends = self._rt_res_end
-            for resource, tid, start, end in grants[self._rt_grant_idx:]:
-                if end < start:
-                    out.append((
-                        "rt",
-                        f"resource {resource!r} grant to task {tid} ends "
-                        f"before it starts: ({start}, {end})",
-                    ))
-                prev_end = ends.get(resource, 0.0)
-                if start < prev_end:
-                    out.append((
-                        "rt",
-                        f"resource {resource!r} double-held: task {tid}'s "
-                        f"grant starts at {start}us before the previous "
-                        f"grant ends at {prev_end}us",
-                    ))
-                if end > prev_end:
-                    ends[resource] = end
-            self._rt_grant_idx = len(grants)
-
-    def _check_energy(self, out: list) -> None:
-        """Power-subsystem bookkeeping: cap safety, busy-time
-        conservation, and counter monotonicity.
-
-        The reserved busy draw flowing on a capped node at the current
-        clock may never exceed the cap — that is the subsystem's core
-        promise. Each worker's accrued busy time can never outrun the
-        virtual clock (workers execute one task at a time), and the
-        ledger's busy total must equal the per-worker/per-state sum —
-        the joule report is a per-worker product of these, so exact
-        additivity across workers follows from this audit.
-        """
-        pw = self.power_ledger
-        now = self._last_now
-        model = pw.model
-        for node in self.platform.nodes:
-            cap = model.cap_of(node.mid)
-            if cap == float("inf"):
-                continue
-            draw = pw.node_draw(node.mid, now)
-            if draw > cap + 1e-6:
-                out.append((
-                    "energy",
-                    f"node {node.name!r} draws {draw} W at t={now}us, over "
-                    f"its {cap} W cap",
-                ))
-        clock_slack = now + 1e-6
-        per_worker_sum = 0.0
-        for wid, per_state in pw.busy_us_by_state.items():
-            busy = sum(per_state.values())
-            per_worker_sum += busy
-            if busy > clock_slack:
-                out.append((
-                    "energy",
-                    f"worker {wid} accrued {busy}us busy but only {now}us "
-                    f"elapsed",
-                ))
-        if abs(per_worker_sum - pw.busy_us_total) > 1e-6 + 1e-9 * per_worker_sum:
-            out.append((
-                "energy",
-                f"busy time leaked: per-worker states sum to "
-                f"{per_worker_sum}us but the ledger total is "
-                f"{pw.busy_us_total}us",
-            ))
-        counters = (
-            pw.n_admissions, pw.n_throttled,
-            pw.throttle_delay_us, pw.busy_us_total,
-        )
-        floor = self._energy_floor
-        if any(c < f for c, f in zip(counters, floor)):
-            out.append((
-                "energy",
-                f"power counters moved backward: {floor} -> {counters}",
-            ))
-        else:
-            self._energy_floor = counters
-        if pw.n_throttled > pw.n_admissions:
-            out.append((
-                "energy",
-                f"{pw.n_throttled} throttles recorded over only "
-                f"{pw.n_admissions} admissions",
             ))
 
     # -- task families (snapshot diff) -------------------------------------
@@ -953,7 +812,7 @@ class InvariantChecker:
             self._msi_size = sizes
         recheck |= moved
 
-        # Expected pins from the running/staged tasks' acquire() records;
+        # Expected pins from the running/staged tasks' take() records;
         # handles commute-written by a running task are exempt from the
         # pins-target-valid check (a concurrent commuting writer's
         # completion legally invalidates a replica another commuter still

@@ -60,26 +60,26 @@ def energy_of_result(
     to utilization — so a worker lost to a fail-stop failure stops
     drawing idle watts at its death rather than for the whole run.
 
-    Results predating per-worker busy accounting (an empty
-    ``busy_us_by_worker``) fall back to the per-architecture totals,
-    with every worker's timeline spanning the full makespan.
+    ``result`` must come from ``platform``: its ``busy_us_by_worker``
+    holds one entry per worker, indexed by worker id. A result from
+    another platform raises :class:`ValidationError` instead of being
+    billed against the wrong workers.
     """
+    busy_by_worker = result.busy_us_by_worker
+    if len(busy_by_worker) != len(platform.workers):
+        raise ValidationError(
+            f"result has busy times for {len(busy_by_worker)} workers but "
+            f"the platform has {len(platform.workers)}: it was simulated "
+            "on another platform"
+        )
     power = power or PowerModel()
     total = 0.0
-    busy_by_worker = result.busy_us_by_worker
     deaths = result.death_us_by_worker
-    per_worker = len(busy_by_worker) == len(platform.workers) > 0
     for arch in platform.archs:
-        workers = platform.workers_of_arch(arch)
-        if per_worker:
-            for w in workers:
-                horizon = min(result.makespan, deaths.get(w.wid, result.makespan))
-                busy = busy_by_worker[w.wid]
-                idle = max(0.0, horizon - busy)
-                total += power.energy_us(arch, busy, idle)
-        else:
-            busy = result.exec_time_by_arch.get(arch, 0.0)
-            idle = max(0.0, len(workers) * result.makespan - busy)
+        for w in platform.workers_of_arch(arch):
+            horizon = min(result.makespan, deaths.get(w.wid, result.makespan))
+            busy = busy_by_worker[w.wid]
+            idle = max(0.0, horizon - busy)
             total += power.energy_us(arch, busy, idle)
     return total
 

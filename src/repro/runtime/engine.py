@@ -40,8 +40,6 @@ from repro.obs.events import (
     JobEvicted,
     JobRejected,
     JobSubmit,
-    PowerCapThrottled,
-    PriorityInversion,
     RecordLevel,
     TaskEnd,
     TaskFault,
@@ -273,9 +271,9 @@ class SimResult:
     #: Batch-mode provenance (flush count, batched tasks, max/mean batch
     #: size); ``None`` on the per-event path.
     batch_stats: dict[str, float] | None = None
-    #: Real-time bookkeeping (charged scheduler overhead counters,
-    #: resource-grant/blocking/inversion counters); ``None`` unless an
-    #: overhead model or resource protocol was attached.
+    #: Every run hook's ``stats()`` merged in hook order (overhead charges,
+    #: resource grants/blocking/inversions, power admissions/throttles/busy
+    #: time); ``None`` unless a ledger (overhead, resources, power) ran.
     rt_stats: dict[str, float] | None = None
     #: Per-worker busy microseconds, indexed by dense worker id; always
     #: populated (energy accounting clamps each worker's idle draw to
@@ -296,6 +294,13 @@ class SimResult:
 
 class Simulator:
     """Runs a :class:`Program` on a :class:`Platform` under a scheduler.
+
+    :meth:`run` is a core event loop plus *run hooks*: ``overhead``,
+    ``resources`` and ``power`` each attach one per-run ledger that the
+    loop reaches only through per-point hook tuples (decisions, start
+    gate, busy charge), merging their ``stats()`` into
+    :attr:`SimResult.rt_stats`; the invariant checker calls their
+    ``audit(now)``. Without them every tuple is empty (``DESIGN.md`` §4).
 
     Parameters
     ----------
@@ -525,24 +530,13 @@ class Simulator:
         n_batched = 0
         max_batch = 0
 
-        # Real-time extensions, both None on the classic (bit-identical)
-        # path: the overhead ledger charges decisions to a virtual
-        # scheduler core, the resource ledger arbitrates Task.resources.
-        ov = OverheadLedger(self.overhead) if self.overhead is not None else None
-        res_ledger = (
-            ResourceLedger(self.resources, program.tasks)
-            if self.resources is not None
-            else None
+        # Run hooks (DESIGN.md §4): one tuple of bound methods per hook
+        # point, all empty on the classic (bit-identical) path.
+        hooks = self._run_hooks(program, emit)
+        push_hooks, pop_hooks, flush_hooks, gate_hooks, book_hooks, charge_hooks = (
+            tuple(getattr(h, point) for h in hooks if hasattr(h, point))
+            for point in ("push", "pop", "flush", "gate", "book", "charge")
         )
-        # Power subsystem, None on the classic (bit-identical) path: the
-        # ledger admits execution states under the node caps and accrues
-        # per-worker busy energy.
-        pw = (
-            PowerLedger(self.power, self.platform)
-            if self.power is not None
-            else None
-        )
-        pw_default = pw.run_states[0] if pw is not None else None
 
         def push_ready(task: Task) -> None:
             nonlocal flush_queued, seq
@@ -550,8 +544,8 @@ class Simulator:
             if emit is not None:
                 emit(TaskReady(ctx.now, task.tid, task.type_name))
             if not batching:
-                if ov is not None:
-                    ov.push(ctx.now)
+                for push in push_hooks:
+                    push(ctx.now)
                 scheduler.push(task)
                 return
             task.sched["_batched"] = True
@@ -586,8 +580,8 @@ class Simulator:
                     del t.sched["_batched"]
                 scheduler.push_batch(batch)
                 n = len(batch)
-            if ov is not None:
-                ov.flush(now, n)
+            for flush in flush_hooks:
+                flush(now, n)
             n_flushes += 1
             n_batched += n
             if n > max_batch:
@@ -800,12 +794,14 @@ class Simulator:
         for worker in workers:
             schedule_request(worker, 0.0)
 
-        def acquire(worker: Worker, task: Task, now: float) -> tuple[float, float]:
-            """Validate the assignment, commit transfers, sample duration.
+        def take(worker: Worker, task: Task, now: float, **pop_flags) -> tuple[float, float]:
+            """Bind a popped task to ``worker`` (TaskPop, validation,
+            transfers, duration sample, pop hooks) and mark it RUNNING.
 
-            Returns (data arrival time, execution duration). The task is
-            marked RUNNING — it is irrevocably bound to this worker.
-            """
+            Returns (data arrival time clamped to the pop decision's
+            end, execution duration)."""
+            if emit is not None:
+                emit(TaskPop(now, task.tid, worker.wid, **pop_flags))
             arch = worker.arch
             if arch not in task.implementations or arch not in ctx.available_archs:
                 raise SchedulingError(
@@ -838,6 +834,10 @@ class Simulator:
                 if pm_noisefree
                 else self.perfmodel.sample(task, arch, self.rng)
             )
+            for pop in pop_hooks:
+                decision_end = pop(now)
+                if decision_end > arrival:
+                    arrival = decision_end
             return arrival, duration
 
         def begin_exec(
@@ -845,40 +845,13 @@ class Simulator:
         ) -> None:
             nonlocal seq
             start = max(now, arrival)
-            if res_ledger is not None and task.resources:
-                # Resource arbitration commits here — begin_exec runs in
-                # event order, so grants serialize and can never overlap.
-                start, inversions = res_ledger.gate(task, start)
-                if emit is not None:
-                    for r, holder_tid, holder_prio, wait_us in inversions:
-                        emit(PriorityInversion(
-                            now, task.tid, r, holder_tid,
-                            task.priority, holder_prio, wait_us,
-                        ))
-            if pw is not None:
-                # Power-state admission: the fastest runnable state that
-                # fits under the node cap, possibly delayed until enough
-                # reserved draw frees. The state's speed scales the
-                # sampled duration (eco runs slower but leaner).
-                pstate, pstart = pw.admit(worker, start)
-                if pstate.speed != 1.0:
-                    duration = duration / pstate.speed
-                if emit is not None and (
-                    pstart > start or pstate is not pw_default
-                ):
-                    emit(PowerCapThrottled(
-                        now, task.tid, worker.wid, worker.memory_node,
-                        pstate.name,
-                        pw.model.cap_of(worker.memory_node),
-                        pstart - start,
-                    ))
-                start = pstart
-                task.sched["_pstate"] = pstate
+            # Start gates commit here — begin_exec runs in event order,
+            # so bookings serialize and can never overlap.
+            for gate in gate_hooks:
+                start, duration = gate(task, worker, now, start, duration)
             end = start + duration
-            if pw is not None:
-                pw.book(worker, task.sched["_pstate"], start, end)
-            if res_ledger is not None and task.resources:
-                res_ledger.book(task, start, end)
+            for book in book_hooks:
+                book(task, worker, start, end)
             # pop_time is the moment the worker became free for this task;
             # (start - pop_time) is the residual (unoverlapped) data stall.
             task.sched["_record"] = (worker.wid, now, start, end)
@@ -898,8 +871,22 @@ class Simulator:
                 heapq.heappush(events, (end, seq, TASK_COMPLETION, (worker, task)))
             seq += 1
 
+        def account(worker: Worker, task: Task, now: float) -> float:
+            """Charge the attempt's busy, wait and exec time up to ``now``
+            (completion, failure or worker death), then the charge hooks;
+            a data stall is wait, not busy. Returns the busy time."""
+            _, pop_time, start, _ = task.sched["_record"]
+            busy = now - start if now > start else 0.0
+            wid = worker.wid
+            busy_by_worker[wid] += busy
+            wait_by_worker[wid] += (start if start < now else now) - pop_time
+            exec_by_arch[worker.arch] += busy
+            for charge in charge_hooks:
+                charge(task, worker, busy)
+            return busy
+
         def rollback(task: Task, worker: Worker) -> None:
-            """Undo an acquire(): unpin inputs, clear scheduler scratch,
+            """Undo a take(): unpin inputs, clear scheduler scratch,
             return the task to SUBMITTED so it can be re-pushed. No MSI
             invalidation and no perfmodel record happen — the attempt
             leaves no trace beyond the link time its transfers consumed."""
@@ -915,13 +902,7 @@ class Simulator:
             task = scheduler.pop(worker)
             if task is None:
                 return
-            if emit is not None:
-                emit(TaskPop(now, task.tid, worker.wid, staged=True))
-            arrival, duration = acquire(worker, task, now)
-            if ov is not None:
-                decision_end = ov.pop(now)
-                if decision_end > arrival:
-                    arrival = decision_end
+            arrival, duration = take(worker, task, now, staged=True)
             staged[worker.wid] = (task, arrival, duration)
             if emit is not None:
                 emit(TaskStage(now, task.tid, worker.wid, arrival))
@@ -946,9 +927,7 @@ class Simulator:
                 control=control,
                 batch_pending=pending if batching else None,
                 batch_drain=batch_drain,
-                overhead_ledger=ov,
-                resource_ledger=res_ledger,
-                power_ledger=pw,
+                hooks=hooks,
             )
 
         while events:
@@ -979,13 +958,7 @@ class Simulator:
                     else:
                         task = scheduler.pop(worker)
                         if task is not None:
-                            if emit is not None:
-                                emit(TaskPop(now, task.tid, worker.wid))
-                            arrival, duration = acquire(worker, task, now)
-                            if ov is not None:
-                                decision_end = ov.pop(now)
-                                if decision_end > arrival:
-                                    arrival = decision_end
+                            arrival, duration = take(worker, task, now)
                             begin_exec(worker, task, now, arrival, duration)
                     if current[wid] is not None:
                         try_stage(worker, now)
@@ -1000,18 +973,10 @@ class Simulator:
                     continue
                 task.state = TaskState.DONE
                 n_done += 1
-                wid, pop_time, start, end = task.sched["_record"]
-                busy_by_worker[wid] += end - start
-                wait_by_worker[wid] += start - pop_time
-                exec_by_arch[worker.arch] += end - start
-                if pw is not None:
-                    # Per-task joules (state-scaled busy watts × span)
-                    # survive on the task for per-job attribution.
-                    task.sched["_energy_j"] = pw.charge(
-                        worker, task.sched["_pstate"], end - start
-                    )
-                self.perfmodel.record(task, worker.arch, end - start)
+                # The completion fires at the attempt's end: all of it is busy.
+                self.perfmodel.record(task, worker.arch, account(worker, task, now))
                 if emit is not None:
+                    _, pop_time, start, end = task.sched["_record"]
                     emit(
                         TaskEnd(
                             now, task.tid, task.type_name, worker.wid,
@@ -1073,22 +1038,17 @@ class Simulator:
                     # already rolled the task back and re-pushed it.
                     continue
                 assert fault is not None and faults is not None
-                _, pop_time, start, _ = task.sched["_record"]
-                busy_by_worker[wid] += now - start
-                wait_by_worker[wid] += start - pop_time
-                exec_by_arch[worker.arch] += now - start
-                if pw is not None:
-                    # Wasted burn draws busy power too; the attempt's
-                    # reservation releases at its planned end (conservative).
-                    pw.charge(worker, task.sched["_pstate"], now - start)
+                # Wasted burn is charged like useful work; any booking
+                # (resource, power) lasts to its planned end (conservative).
+                burned = account(worker, task, now)
                 faults.task_failures += 1
-                faults.wasted_exec_us += now - start
+                faults.wasted_exec_us += burned
                 rollback(task, worker)
                 current[wid] = None
                 scheduler.on_task_failed(task, worker)
                 attempts[task.tid] = n_failures = attempts.get(task.tid, 0) + 1
                 if emit is not None:
-                    emit(TaskFault(now, task.tid, wid, now - start, n_failures))
+                    emit(TaskFault(now, task.tid, wid, burned, n_failures))
                 if n_failures > fault.max_retries:
                     raise RetryExhaustedError(
                         f"{task.name} failed {n_failures} attempts, exceeding "
@@ -1124,16 +1084,7 @@ class Simulator:
                 recovered: list[Task] = []
                 running = current[wid]
                 if running is not None:
-                    _, pop_time, start, _ = running.sched["_record"]
-                    # The attempt may still be stalled on data (start in
-                    # the future): it burned wait time, not exec time.
-                    burned = max(0.0, now - start)
-                    busy_by_worker[wid] += burned
-                    wait_by_worker[wid] += min(now, start) - pop_time
-                    exec_by_arch[worker.arch] += burned
-                    if pw is not None:
-                        pw.charge(worker, running.sched["_pstate"], burned)
-                    faults.wasted_exec_us += burned
+                    faults.wasted_exec_us += account(worker, running, now)
                     rollback(running, worker)
                     current[wid] = None
                     recovered.append(running)
@@ -1233,13 +1184,7 @@ class Simulator:
                             f"handed out (popped twice?)"
                         )
                     forced_pops += 1
-                    if emit is not None:
-                        emit(TaskPop(now, task.tid, worker.wid, forced=True))
-                    arrival, duration = acquire(worker, task, now)
-                    if ov is not None:
-                        decision_end = ov.pop(now)
-                        if decision_end > arrival:
-                            arrival = decision_end
+                    arrival, duration = take(worker, task, now, forced=True)
                     begin_exec(worker, task, now, arrival, duration)
                     progressed = True
                 if not progressed:
@@ -1310,21 +1255,25 @@ class Simulator:
                 if batching
                 else None
             ),
-            rt_stats=(
-                {
-                    **(ov.stats() if ov is not None else {}),
-                    **(res_ledger.stats() if res_ledger is not None else {}),
-                    **(pw.stats() if pw is not None else {}),
-                }
-                if ov is not None or res_ledger is not None or pw is not None
-                else None
-            ),
+            rt_stats={k: v for hook in hooks for k, v in hook.stats().items()} or None,
             busy_us_by_worker=tuple(busy_by_worker),
             death_us_by_worker=dict(death_time),
-            energy=(
-                pw.finalize(makespan, death_time) if pw is not None else None
-            ),
+            energy=next((
+                hook.finalize(makespan, death_time)
+                for hook in hooks if isinstance(hook, PowerLedger)
+            ), None),
         )
+
+    def _run_hooks(self, program: Program, emit) -> tuple:
+        """This run's ledgers, in hook order: overhead, resources, power."""
+        hooks: list = []
+        if self.overhead is not None:
+            hooks.append(OverheadLedger(self.overhead))
+        if self.resources is not None:
+            hooks.append(ResourceLedger(self.resources, program.tasks, emit))
+        if self.power is not None:
+            hooks.append(PowerLedger(self.power, self.platform, emit))
+        return tuple(hooks)
 
     # -- validation ----------------------------------------------------------
 

@@ -117,15 +117,17 @@ class SchedOverheadModel:
 class OverheadLedger:
     """Per-run charging state for one :class:`SchedOverheadModel`.
 
-    The engine owns exactly one ledger per run; the invariant checker's
-    ``rt`` family audits it (``charged_us`` must equal the counter-
-    weighted sum of the model's costs, and ``sched_free`` may never
-    retreat).
+    A run hook of the engine (``DESIGN.md`` §4) at the decision points:
+    :meth:`push`, :meth:`pop` and :meth:`flush` charge one decision
+    each, plus :meth:`stats` and :meth:`audit`. The invariant checker's
+    ``rt`` family calls :meth:`audit`: ``charged_us`` must equal the
+    counter-weighted sum of the model's costs, and ``sched_free`` may
+    never retreat.
     """
 
     __slots__ = (
         "model", "sched_free", "charged_us",
-        "n_push", "n_pop", "n_flush", "n_flush_tasks",
+        "n_push", "n_pop", "n_flush", "n_flush_tasks", "_audit_floor",
     )
 
     def __init__(self, model: SchedOverheadModel) -> None:
@@ -136,6 +138,8 @@ class OverheadLedger:
         self.n_pop = 0
         self.n_flush = 0
         self.n_flush_tasks = 0
+        # Scheduler-core clock as of the last audit (never retreats).
+        self._audit_floor = 0.0
 
     def _charge(self, now: float, cost: float) -> float:
         start = self.sched_free if self.sched_free > now else now
@@ -170,3 +174,32 @@ class OverheadLedger:
             "overhead_n_flush": float(self.n_flush),
             "overhead_n_flush_tasks": float(self.n_flush_tasks),
         }
+
+    def audit(self, now: float) -> list[tuple[str, str]]:
+        """``rt`` violations: a charge no decision counter explains, or a
+        scheduler-core clock that moved backward since the last audit."""
+        out = []
+        m = self.model
+        expected = (
+            m.push_us * self.n_push
+            + m.pop_us * self.n_pop
+            + m.flush_us * self.n_flush
+            + m.batch_task_us * self.n_flush_tasks
+        )
+        if abs(expected - self.charged_us) > 1e-6 + 1e-9 * abs(expected):
+            out.append((
+                "rt",
+                f"overhead charge leaked: ledger says {self.charged_us}us "
+                f"but counters ({self.n_push} push, {self.n_pop} pop, "
+                f"{self.n_flush} flush over {self.n_flush_tasks} tasks) "
+                f"account for {expected}us",
+            ))
+        if self.sched_free < self._audit_floor:
+            out.append((
+                "rt",
+                f"scheduler-core clock moved backward: "
+                f"{self._audit_floor} -> {self.sched_free}",
+            ))
+        else:
+            self._audit_floor = self.sched_free
+        return out

@@ -47,8 +47,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from repro.obs.events import PowerCapThrottled
 from repro.utils.validation import (
     ValidationError,
     check_non_negative,
@@ -57,6 +58,7 @@ from repro.utils.validation import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.platform_config import Platform
+    from repro.runtime.task import Task
     from repro.runtime.worker import Worker
 
 #: Sentinel distinguishing "no default passed" from ``default=None``.
@@ -306,25 +308,32 @@ class EnergyReport:
 class PowerLedger:
     """Per-run power bookkeeping for one :class:`PowerStateModel`.
 
-    The engine owns exactly one ledger per run. :meth:`admit` picks the
-    execution state under the node caps (possibly delaying the start),
-    :meth:`book` reserves the chosen draw until the planned end,
-    :meth:`charge` accrues per-worker busy time per state, and
-    :meth:`finalize` folds it all into an :class:`EnergyReport`. The
-    invariant checker's ``energy`` family audits the reservations
-    against the caps and the counters' monotonicity.
+    A run hook of the engine (``DESIGN.md`` §4). At the start gate,
+    :meth:`gate` picks the execution state under the node caps through
+    :meth:`admit` (possibly delaying the start and stretching the
+    duration) and :meth:`book` reserves the chosen draw until the
+    planned end; :meth:`charge` accrues per-worker busy time per state,
+    and :meth:`finalize` folds it all into an :class:`EnergyReport`.
+    The invariant checker's ``energy`` family calls :meth:`audit`: the
+    reservations against the caps, and the counters' monotonicity.
     """
 
     __slots__ = (
-        "model", "platform", "run_states", "active",
+        "model", "platform", "emit", "run_states", "active",
         "busy_us_by_state", "busy_us_total",
         "n_admissions", "n_throttled", "throttle_delay_us",
-        "_busy_watts", "_floor_watts",
+        "_busy_watts", "_floor_watts", "_audit_floor",
     )
 
-    def __init__(self, model: PowerStateModel, platform: "Platform") -> None:
+    def __init__(
+        self, model: PowerStateModel, platform: "Platform",
+        emit: Callable | None = None,
+    ) -> None:
         self.model = model
         self.platform = platform
+        #: Event sink for :class:`~repro.obs.events.PowerCapThrottled`
+        #: (the run's ``Observability.emit``), or ``None``.
+        self.emit = emit
         self.run_states = model.run_states
         #: Per-node reserved busy draw:
         #: ``mid -> [(end_us, watts, start_us), ...]``.
@@ -338,6 +347,9 @@ class PowerLedger:
         self.n_admissions = 0
         self.n_throttled = 0
         self.throttle_delay_us = 0.0
+        # Monotone floor of (admissions, throttles, throttle delay, busy
+        # total) as of the last audit.
+        self._audit_floor = (0, 0, 0.0, 0.0)
         # Base busy watts per architecture; every arch on the platform
         # must have a profile (KeyError here beats silent corruption).
         self._busy_watts = {
@@ -410,16 +422,38 @@ class PowerLedger:
         self.throttle_delay_us += start - at
         return chosen, start
 
+    def gate(
+        self, task: "Task", worker: "Worker", now: float, start: float, duration: float
+    ) -> tuple[float, float]:
+        """Admit ``task`` on ``worker`` from ``start``: the admitted start
+        and the duration divided by the state's ``speed``. The state is
+        kept in ``task.sched["_pstate"]``; a downgrade or delay emits a
+        :class:`~repro.obs.events.PowerCapThrottled` stamped ``now``."""
+        pstate, pstart = self.admit(worker, start)
+        if pstate.speed != 1.0:
+            duration = duration / pstate.speed
+        if self.emit is not None and (
+            pstart > start or pstate is not self.run_states[0]
+        ):
+            self.emit(PowerCapThrottled(
+                now, task.tid, worker.wid, worker.memory_node, pstate.name,
+                self.model.cap_of(worker.memory_node), pstart - start,
+            ))
+        task.sched["_pstate"] = pstate
+        return pstart, duration
+
     def book(
-        self, worker: "Worker", state: PowerState, start: float, end: float
+        self, task: "Task", worker: "Worker", start: float, end: float
     ) -> None:
-        """Reserve the chosen draw on the worker's node over
+        """Reserve ``task``'s admitted draw on the worker's node over
         ``[start, end)``."""
         if self.model.cap_of(worker.memory_node) == math.inf:
             return
-        self.active[worker.memory_node].append(
-            (end, self._busy_watts[worker.arch] * state.busy_scale, start)
-        )
+        self.active[worker.memory_node].append((
+            end,
+            self._busy_watts[worker.arch] * task.sched["_pstate"].busy_scale,
+            start,
+        ))
 
     def node_draw(self, mid: int, now: float) -> float:
         """Busy draw actually flowing on node ``mid`` at time ``now``:
@@ -432,13 +466,18 @@ class PowerLedger:
 
     # -- energy accrual ---------------------------------------------------
 
-    def charge(self, worker: "Worker", state: PowerState, exec_us: float) -> float:
-        """Accrue ``exec_us`` of busy time in ``state``; returns the
-        joules attributable to that execution span."""
+    def charge(self, task: "Task", worker: "Worker", busy_us: float) -> float:
+        """Accrue ``busy_us`` of ``task``'s attempt in its admitted state
+        and return its joules, also kept in ``task.sched["_energy_j"]``
+        for per-job attribution (a failed or killed attempt's rollback
+        clears it, so only completions keep one)."""
+        state = task.sched["_pstate"]
         per_state = self.busy_us_by_state[worker.wid]
-        per_state[state.name] = per_state.get(state.name, 0.0) + exec_us
-        self.busy_us_total += exec_us
-        return exec_us * self._busy_watts[worker.arch] * state.busy_scale * 1e-6
+        per_state[state.name] = per_state.get(state.name, 0.0) + busy_us
+        self.busy_us_total += busy_us
+        joules = busy_us * self._busy_watts[worker.arch] * state.busy_scale * 1e-6
+        task.sched["_energy_j"] = joules
+        return joules
 
     def finalize(
         self, makespan: float, death_time: Mapping[int, float]
@@ -516,3 +555,57 @@ class PowerLedger:
             "power_throttle_delay_us": self.throttle_delay_us,
             "power_busy_us": self.busy_us_total,
         }
+
+    def audit(self, now: float) -> list[tuple[str, str]]:
+        """``energy`` violations at clock ``now``: draw over a node cap,
+        busy time beyond the clock or not adding up across workers (the
+        joule report's additivity rests on it), counters moving back."""
+        out = []
+        for node in self.platform.nodes:
+            cap = self.model.cap_of(node.mid)
+            if cap == math.inf:
+                continue
+            draw = self.node_draw(node.mid, now)
+            if draw > cap + 1e-6:
+                out.append((
+                    "energy",
+                    f"node {node.name!r} draws {draw} W at t={now}us, over "
+                    f"its {cap} W cap",
+                ))
+        clock_slack = now + 1e-6
+        per_worker_sum = 0.0
+        for wid, per_state in self.busy_us_by_state.items():
+            busy = sum(per_state.values())
+            per_worker_sum += busy
+            if busy > clock_slack:
+                out.append((
+                    "energy",
+                    f"worker {wid} accrued {busy}us busy but only {now}us "
+                    f"elapsed",
+                ))
+        if abs(per_worker_sum - self.busy_us_total) > 1e-6 + 1e-9 * per_worker_sum:
+            out.append((
+                "energy",
+                f"busy time leaked: per-worker states sum to "
+                f"{per_worker_sum}us but the ledger total is "
+                f"{self.busy_us_total}us",
+            ))
+        counters = (
+            self.n_admissions, self.n_throttled,
+            self.throttle_delay_us, self.busy_us_total,
+        )
+        floor = self._audit_floor
+        if any(c < f for c, f in zip(counters, floor)):
+            out.append((
+                "energy",
+                f"power counters moved backward: {floor} -> {counters}",
+            ))
+        else:
+            self._audit_floor = counters
+        if self.n_throttled > self.n_admissions:
+            out.append((
+                "energy",
+                f"{self.n_throttled} throttles recorded over only "
+                f"{self.n_admissions} admissions",
+            ))
+        return out

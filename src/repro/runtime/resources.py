@@ -23,19 +23,22 @@ execution, the protocol is simple and deadlock-free by construction:
   avoidance blocking, which bounds inversion to at most one
   lower-priority critical section.
 
-The invariant checker's ``rt`` family audits the grant ledger: per
-resource, granted intervals must never overlap.
+The ledger is an engine run hook (``DESIGN.md`` §4); its ``audit`` (the
+checker's ``rt`` family) checks that per resource, granted intervals
+never overlap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
+from repro.obs.events import PriorityInversion
 from repro.utils.validation import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.task import Task
+    from repro.runtime.worker import Worker
 
 #: Supported protocol modes.
 RESOURCE_MODES: tuple[str, ...] = ("lock", "ceiling")
@@ -58,11 +61,12 @@ class ResourceProtocol:
 class ResourceLedger:
     """Per-run arbitration state for one :class:`ResourceProtocol`.
 
-    ``gate`` computes how long a task must additionally wait before its
-    start; ``book`` commits the grant. Both are called from the engine's
-    ``begin_exec`` only, which event order serializes — so grants are
-    committed in nondecreasing decision order and per-resource intervals
-    cannot overlap (the checker re-verifies this from ``grants``).
+    A run hook of the engine at the start gate: :meth:`gate` delays a
+    task's start until it may hold all its resources and :meth:`book`
+    commits the grant. Both are called from the engine's ``begin_exec``
+    only, which event order serializes — so grants are committed in
+    nondecreasing decision order and per-resource intervals cannot
+    overlap (:meth:`audit` re-verifies this from ``grants``).
 
     A failed attempt keeps its booking until the *projected* completion:
     the model is pessimistic about crashed critical sections (the
@@ -70,23 +74,31 @@ class ResourceLedger:
     """
 
     __slots__ = (
-        "protocol", "busy_until", "holder", "ceilings", "grants",
+        "protocol", "emit", "busy_until", "holder", "ceilings", "grants",
         "n_blocked", "blocked_us", "n_inversions",
+        "_audit_idx", "_audit_end",
     )
 
     def __init__(
-        self, protocol: ResourceProtocol, tasks: "Iterable[Task]"
+        self, protocol: ResourceProtocol, tasks: "Iterable[Task]",
+        emit: Callable | None = None,
     ) -> None:
         self.protocol = protocol
+        #: Event sink for :class:`~repro.obs.events.PriorityInversion`
+        #: (the run's ``Observability.emit``), or ``None``.
+        self.emit = emit
         #: resource -> time its current grant ends.
         self.busy_until: dict[str, float] = {}
         #: resource -> (holder tid, holder priority) of the current grant.
         self.holder: dict[str, tuple[int, int]] = {}
-        #: grant ledger for the checker: (resource, tid, start, end).
+        #: grant ledger for the audit: (resource, tid, start, end).
         self.grants: list[tuple[str, int, float, float]] = []
         self.n_blocked = 0
         self.blocked_us = 0.0
         self.n_inversions = 0
+        # Audit state: grants already audited, per-resource latest end.
+        self._audit_idx = 0
+        self._audit_end: dict[str, float] = {}
         self.ceilings: dict[str, int] = {}
         if protocol.mode == "ceiling":
             for task in tasks:
@@ -96,15 +108,17 @@ class ResourceLedger:
                         self.ceilings[r] = task.priority
 
     def gate(
-        self, task: "Task", start: float
-    ) -> tuple[float, list[tuple[str, int, int, float]]]:
+        self, task: "Task", worker: "Worker", now: float, start: float, duration: float
+    ) -> tuple[float, float]:
         """Earliest start ≥ ``start`` at which ``task`` may hold all its
-        resources, plus the priority inversions that delay explains.
+        resources, and the unchanged ``duration``.
 
-        Returns ``(new_start, inversions)`` where each inversion is
-        ``(resource, holder_tid, holder_prio, wait_us)`` — a wait behind
-        a strictly lower-priority holder.
+        Each wait behind a strictly lower-priority holder is a priority
+        inversion: it is counted and, with an event sink, emitted as a
+        :class:`~repro.obs.events.PriorityInversion` stamped ``now``.
         """
+        if not task.resources:
+            return start, duration
         gated = start
         blockers: list[tuple[str, float]] = []
         for r in task.resources:
@@ -123,18 +137,22 @@ class ResourceLedger:
                     if until > gated:
                         gated = until
                     blockers.append((r, until))
-        inversions: list[tuple[str, int, int, float]] = []
         if gated > start:
             self.n_blocked += 1
             self.blocked_us += gated - start
+            emit = self.emit
             for r, until in blockers:
                 held = self.holder.get(r)
                 if held is not None and held[1] < task.priority:
                     self.n_inversions += 1
-                    inversions.append((r, held[0], held[1], until - start))
-        return gated, inversions
+                    if emit is not None:
+                        emit(PriorityInversion(
+                            now, task.tid, r, held[0],
+                            task.priority, held[1], until - start,
+                        ))
+        return gated, duration
 
-    def book(self, task: "Task", start: float, end: float) -> None:
+    def book(self, task: "Task", worker: "Worker", start: float, end: float) -> None:
         """Commit the grant of every resource of ``task`` over [start, end)."""
         entry = (task.tid, task.priority)
         for r in task.resources:
@@ -150,3 +168,29 @@ class ResourceLedger:
             "resource_blocked_us": self.blocked_us,
             "resource_n_inversions": float(self.n_inversions),
         }
+
+    def audit(self, now: float) -> list[tuple[str, str]]:
+        """``rt`` violations among the grants booked since the last
+        audit: a grant ending before it starts, or one starting before
+        the previous grant of its resource ended."""
+        out = []
+        ends = self._audit_end
+        for resource, tid, start, end in self.grants[self._audit_idx:]:
+            if end < start:
+                out.append((
+                    "rt",
+                    f"resource {resource!r} grant to task {tid} ends "
+                    f"before it starts: ({start}, {end})",
+                ))
+            prev_end = ends.get(resource, 0.0)
+            if start < prev_end:
+                out.append((
+                    "rt",
+                    f"resource {resource!r} double-held: task {tid}'s "
+                    f"grant starts at {start}us before the previous "
+                    f"grant ends at {prev_end}us",
+                ))
+            if end > prev_end:
+                ends[resource] = end
+        self._audit_idx = len(self.grants)
+        return out

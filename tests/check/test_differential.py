@@ -95,6 +95,7 @@ class TestSuite:
             "cluster.single_node", "cluster.single_node_jobs",
             "batch.equivalence", "batch.nodrain_complete",
             "rt.overhead_noop", "rt.resources_noop", "rt.deadline_noop",
+            "rt.ledgers_noop",
             "power.noop_ladder", "power.noop_metering",
             "power.metering_joules", "stream.baseline_dedup",
         }

@@ -203,20 +203,9 @@ class TestCorruptionCaught:
 
 
 class TestRtViolations:
-    """The ``rt`` family: overhead conservation, resource exclusion and
-    the merged stream's slack bookkeeping."""
-
-    def checker_with(self, *, overhead=None, resource=None):
-        # White-box: bind only the rt-family state the check reads.
-        from repro.check.invariants import InvariantChecker
-
-        checker = InvariantChecker()
-        checker.overhead_ledger = overhead
-        checker.resource_ledger = resource
-        checker._rt_grant_idx = 0
-        checker._rt_res_end = {}
-        checker._rt_sched_floor = 0.0
-        return checker
+    """The ``rt`` family: overhead conservation and resource exclusion
+    (the ledgers' own ``audit``), and the merged stream's slack
+    bookkeeping."""
 
     def test_overhead_charge_leak_caught(self):
         from repro.runtime.overhead import OverheadLedger, SchedOverheadModel
@@ -224,8 +213,7 @@ class TestRtViolations:
         ledger = OverheadLedger(SchedOverheadModel(push_us=2.0))
         ledger.push(0.0)
         ledger.charged_us += 5.0  # corrupt: charge without a decision
-        out = []
-        self.checker_with(overhead=ledger)._check_rt(out)
+        out = ledger.audit(0.0)
         assert any("overhead charge leaked" in d for _, d in out)
         assert all(f == "rt" for f, _ in out)
 
@@ -234,13 +222,10 @@ class TestRtViolations:
 
         ledger = OverheadLedger(SchedOverheadModel(push_us=2.0))
         ledger.push(10.0)
-        checker = self.checker_with(overhead=ledger)
-        out = []
-        checker._check_rt(out)
-        assert out == []
+        assert ledger.audit(10.0) == []
         ledger.sched_free -= 5.0  # corrupt: the virtual core un-worked
         ledger.charged_us -= 5.0  # keep conservation consistent
-        checker._check_rt(out)
+        out = ledger.audit(10.0)
         assert any("moved backward" in d for _, d in out)
 
     def test_resource_double_hold_caught(self):
@@ -248,10 +233,9 @@ class TestRtViolations:
         from repro.runtime.task import Task
 
         ledger = ResourceLedger(ResourceProtocol(), [])
-        ledger.book(Task(0, "t", resources=("r",)), 0.0, 50.0)
-        ledger.book(Task(1, "t", resources=("r",)), 10.0, 60.0)  # overlap
-        out = []
-        self.checker_with(resource=ledger)._check_rt(out)
+        ledger.book(Task(0, "t", resources=("r",)), None, 0.0, 50.0)
+        ledger.book(Task(1, "t", resources=("r",)), None, 10.0, 60.0)  # overlap
+        out = ledger.audit(60.0)
         assert any("double-held" in d for _, d in out)
 
     def test_resource_negative_grant_caught(self):
@@ -259,9 +243,8 @@ class TestRtViolations:
         from repro.runtime.task import Task
 
         ledger = ResourceLedger(ResourceProtocol(), [])
-        ledger.book(Task(0, "t", resources=("r",)), 50.0, 10.0)
-        out = []
-        self.checker_with(resource=ledger)._check_rt(out)
+        ledger.book(Task(0, "t", resources=("r",)), None, 50.0, 10.0)
+        out = ledger.audit(50.0)
         assert any("ends before it starts" in d for _, d in out)
 
     def test_grant_audit_is_incremental(self):
@@ -269,14 +252,10 @@ class TestRtViolations:
         from repro.runtime.task import Task
 
         ledger = ResourceLedger(ResourceProtocol(), [])
-        checker = self.checker_with(resource=ledger)
-        ledger.book(Task(0, "t", resources=("r",)), 0.0, 50.0)
-        out = []
-        checker._check_rt(out)
-        assert out == [] and checker._rt_grant_idx == 1
-        ledger.book(Task(1, "t", resources=("r",)), 60.0, 80.0)
-        checker._check_rt(out)
-        assert out == [] and checker._rt_grant_idx == 2
+        ledger.book(Task(0, "t", resources=("r",)), None, 0.0, 50.0)
+        assert ledger.audit(0.0) == [] and ledger._audit_idx == 1
+        ledger.book(Task(1, "t", resources=("r",)), None, 60.0, 80.0)
+        assert ledger.audit(60.0) == [] and ledger._audit_idx == 2
 
     def test_merged_deadline_outside_job_window_caught(self):
         from repro.workload.merge import merge_stream
@@ -291,6 +270,68 @@ class TestRtViolations:
         merged.tasks[1].deadline_us = 10_000.0
         with pytest.raises(InvariantError, match=r"\[rt\].*outside job"):
             build("multiprio").run(merged)
+
+
+class TestLedgerCorruptionEndToEnd:
+    """The ``energy`` and ``rt`` families catch a corrupted ledger
+    method in a full run (the methods are patched by name on the class,
+    the way the engine reaches them)."""
+
+    def run_capped(self):
+        from repro.experiments.energy_pareto import node_caps_for
+        from repro.runtime.power import PowerStateModel
+
+        sim = build(
+            "multiprio",
+            machine=small_hetero(),
+            power=PowerStateModel(
+                node_cap_watts=node_caps_for("small-hetero", 0.5)
+            ),
+        )
+        return sim.run(cholesky_program(6, 384))
+
+    def test_admission_over_cap_caught(self, monkeypatch):
+        from repro.runtime.power import PowerLedger
+
+        def ignore_cap(self, worker, at):
+            # Corrupt: always the fastest state, never a delay.
+            self.n_admissions += 1
+            return self.run_states[0], at
+
+        monkeypatch.setattr(PowerLedger, "admit", ignore_cap)
+        with pytest.raises(InvariantError, match=r"\[energy\].*over its .* cap"):
+            self.run_capped()
+
+    def test_busy_time_leak_caught(self, monkeypatch):
+        from repro.runtime.power import PowerLedger
+
+        charge = PowerLedger.charge
+
+        def leaky(self, *args):
+            joules = charge(self, *args)
+            self.busy_us_total += 1.0  # corrupt: busy time from nowhere
+            return joules
+
+        monkeypatch.setattr(PowerLedger, "charge", leaky)
+        with pytest.raises(InvariantError, match=r"\[energy\] busy time leaked"):
+            self.run_capped()
+
+    def test_overhead_pop_charge_leak_caught(self, monkeypatch):
+        from repro.runtime.overhead import OverheadLedger, SchedOverheadModel
+
+        pop = OverheadLedger.pop
+
+        def leaky(self, now):
+            end = pop(self, now)
+            self.charged_us += 1.0  # corrupt: a charge no counter explains
+            return end
+
+        monkeypatch.setattr(OverheadLedger, "pop", leaky)
+        sim = build(
+            "multiprio", overhead=SchedOverheadModel(push_us=2.0, pop_us=3.0)
+        )
+        with pytest.raises(InvariantError, match=r"\[rt\] overhead charge leaked"):
+            sim.run(cholesky_program(6, 384))
 
 
 class TestActivation:

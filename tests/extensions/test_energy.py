@@ -117,6 +117,23 @@ class TestEnergyOfResult:
         extra_j = (dead.makespan - kill_at) * idle_w * 1e-6
         assert buggy - got == pytest.approx(extra_j)
 
+    def test_result_from_another_platform_rejected(self, hetero_machine):
+        """Regression: a result billed against another platform's
+        workers used to return a wrong total instead of failing."""
+        from repro.platform.machines import MACHINES
+        from repro.utils.validation import ValidationError
+
+        sim = Simulator(
+            hetero_machine.platform(), make_scheduler("multiprio"),
+            AnalyticalPerfModel(hetero_machine.calibration()), seed=0,
+        )
+        res = sim.run(make_fork_join_program(width=8, flops=5e8))
+        assert energy_of_result(res, sim.platform) > 0
+        other = MACHINES["intel-v100"]().platform()
+        assert len(other.workers) != len(res.busy_us_by_worker)
+        with pytest.raises(ValidationError, match="another platform"):
+            energy_of_result(res, other)
+
 
 class TestEnergyAwareScheduler:
     def test_is_feasible(self, hetero_machine):

@@ -28,7 +28,7 @@ from repro.runtime.power import (
     PowerStateModel,
 )
 from repro.runtime.stf import TaskFlow
-from repro.runtime.task import AccessMode
+from repro.runtime.task import AccessMode, Task
 from repro.schedulers.registry import make_scheduler
 from repro.utils.validation import ValidationError
 from tests.conftest import make_fork_join_program
@@ -106,6 +106,12 @@ class TestPowerLedger:
     def cpu_workers(self, platform):
         return platform.workers_of_arch("cpu")
 
+    def admitted(self, state, tid=0):
+        """A task admitted in ``state``, as the ledger's gate leaves it."""
+        task = Task(tid, "t")
+        task.sched["_pstate"] = state
+        return task
+
     def test_uncapped_admits_fastest_immediately(self):
         plat = self.platform()
         led = PowerLedger(PowerStateModel(), plat)
@@ -120,7 +126,7 @@ class TestPowerLedger:
         led = PowerLedger(PowerStateModel(node_cap_watts={0: 20.0}), plat)
         w0, w1 = self.cpu_workers(plat)[:2]
         s0, t0 = led.admit(w0, 0.0)
-        led.book(w0, s0, t0, 100.0)
+        led.book(self.admitted(s0), w0, t0, 100.0)
         assert s0.name == "full"
         s1, t1 = led.admit(w1, 0.0)
         assert s1.name == "eco" and t1 == 0.0
@@ -137,11 +143,29 @@ class TestPowerLedger:
         led = PowerLedger(model, plat)
         w0, w1 = self.cpu_workers(plat)[:2]
         s0, _ = led.admit(w0, 0.0)
-        led.book(w0, s0, 0.0, 100.0)
+        led.book(self.admitted(s0), w0, 0.0, 100.0)
         s1, t1 = led.admit(w1, 40.0)
         assert s1.name == "full" and t1 == 100.0
         assert led.n_throttled == 1
         assert led.throttle_delay_us == pytest.approx(60.0)
+
+    def test_gate_stretches_and_reports_a_downgrade(self):
+        plat = self.platform()
+        events = []
+        led = PowerLedger(
+            PowerStateModel(node_cap_watts={0: 20.0}), plat, events.append
+        )
+        w0, w1 = self.cpu_workers(plat)[:2]
+        t0, t1 = Task(0, "t"), Task(1, "t")
+        assert led.gate(t0, w0, 0.0, 0.0, 60.0) == (0.0, 60.0)
+        led.book(t0, w0, 0.0, 60.0)
+        assert events == []  # full state at the requested start
+        start, duration = led.gate(t1, w1, 0.0, 0.0, 60.0)
+        assert t1.sched["_pstate"].name == "eco"
+        assert (start, duration) == (0.0, pytest.approx(100.0))  # speed 0.6
+        assert [(e.tid, e.wid, e.state, e.delay_us) for e in events] == [
+            (1, w1.wid, "eco", 0.0)
+        ]
 
     def test_node_draw_excludes_unstarted_reservations(self):
         plat = self.platform()
@@ -150,8 +174,8 @@ class TestPowerLedger:
         )
         led = PowerLedger(model, plat)
         w0, w1 = self.cpu_workers(plat)[:2]
-        led.book(w0, model.states[0], 0.0, 100.0)
-        led.book(w1, model.states[0], 100.0, 200.0)  # delayed start
+        led.book(self.admitted(model.states[0], 0), w0, 0.0, 100.0)
+        led.book(self.admitted(model.states[0], 1), w1, 100.0, 200.0)  # delayed start
         assert led.node_draw(0, 50.0) == pytest.approx(12.0)
         assert led.node_draw(0, 150.0) == pytest.approx(12.0)
         assert led.node_draw(0, 250.0) == 0.0
@@ -161,7 +185,7 @@ class TestPowerLedger:
         led = PowerLedger(PowerStateModel(), plat)
         w = self.cpu_workers(plat)[0]
         full = led.run_states[0]
-        joules = led.charge(w, full, 1e6)  # 1 s busy at 12 W
+        joules = led.charge(self.admitted(full), w, 1e6)  # 1 s busy at 12 W
         assert joules == pytest.approx(12.0)
         assert led.busy_us_by_state[w.wid] == {"full": 1e6}
         assert led.busy_us_total == 1e6

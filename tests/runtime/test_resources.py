@@ -41,11 +41,22 @@ class TestLedger:
     def task(self, tid, resources=("r",), priority=0):
         return Task(tid, "t", resources=resources, priority=priority)
 
+    def gate(self, led, task, start):
+        """The gated start, and the inversions the gate emitted as
+        ``(resource, holder_tid, holder_prio, wait_us)``."""
+        events = []
+        led.emit = events.append
+        gated, duration = led.gate(task, None, start, start, 7.0)
+        assert duration == 7.0  # resources never stretch an execution
+        return gated, [
+            (e.resource, e.holder_tid, e.holder_prio, e.wait_us) for e in events
+        ]
+
     def test_gate_waits_for_busy_resource(self):
         led = ResourceLedger(ResourceProtocol(), [])
         holder = self.task(0)
-        led.book(holder, 0.0, 50.0)
-        gated, inversions = led.gate(self.task(1), 10.0)
+        led.book(holder, None, 0.0, 50.0)
+        gated, inversions = self.gate(led, self.task(1), 10.0)
         assert gated == 50.0
         assert inversions == []  # equal priority: a wait, not an inversion
         assert led.n_blocked == 1
@@ -53,14 +64,14 @@ class TestLedger:
 
     def test_free_resource_starts_immediately(self):
         led = ResourceLedger(ResourceProtocol(), [])
-        gated, inversions = led.gate(self.task(0), 5.0)
+        gated, inversions = self.gate(led, self.task(0), 5.0)
         assert gated == 5.0 and inversions == []
         assert led.n_blocked == 0
 
     def test_inversion_reported_behind_lower_priority_holder(self):
         led = ResourceLedger(ResourceProtocol(), [])
-        led.book(self.task(0, priority=1), 0.0, 30.0)
-        gated, inversions = led.gate(self.task(1, priority=5), 10.0)
+        led.book(self.task(0, priority=1), None, 0.0, 30.0)
+        gated, inversions = self.gate(led, self.task(1, priority=5), 10.0)
         assert gated == 30.0
         assert inversions == [("r", 0, 1, 20.0)]
         assert led.n_inversions == 1
@@ -76,21 +87,21 @@ class TestLedger:
         ]
         led = ResourceLedger(ResourceProtocol(mode="ceiling"), tasks)
         assert led.ceilings == {"a": 9, "b": 5}
-        led.book(tasks[0], 0.0, 40.0)
-        gated, inversions = led.gate(tasks[2], 10.0)
+        led.book(tasks[0], None, 0.0, 40.0)
+        gated, inversions = self.gate(led, tasks[2], 10.0)
         assert gated == 40.0
         assert inversions == [("a", 0, 1, 30.0)]
 
     def test_lock_mode_ignores_unrelated_resources(self):
         led = ResourceLedger(ResourceProtocol(), [])
-        led.book(self.task(0, resources=("a",)), 0.0, 40.0)
-        gated, _ = led.gate(self.task(1, resources=("b",)), 10.0)
+        led.book(self.task(0, resources=("a",)), None, 0.0, 40.0)
+        gated, _ = self.gate(led, self.task(1, resources=("b",)), 10.0)
         assert gated == 10.0
 
     def test_stats_keys(self):
         led = ResourceLedger(ResourceProtocol(), [])
-        led.book(self.task(0), 0.0, 10.0)
-        led.gate(self.task(1), 0.0)
+        led.book(self.task(0), None, 0.0, 10.0)
+        self.gate(led, self.task(1), 0.0)
         stats = led.stats()
         assert stats["resource_n_grants"] == 1.0
         assert stats["resource_n_blocked"] == 1.0
