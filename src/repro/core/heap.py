@@ -122,17 +122,45 @@ class TaskHeap:
         return entry
 
     def remove(self, entry: HeapEntry) -> None:
-        """Remove an arbitrary entry in O(log n)."""
-        pos = entry.pos
-        if pos < 0 or pos >= len(self._a) or self._a[pos] is not entry:
+        """Remove an arbitrary entry in O(log n).
+
+        The last slot's entry fills the hole and is sifted down, then
+        whatever sits in the hole is sifted up. The sift-down is inlined
+        (every take removes one entry per node heap, usually the root,
+        where the sift-up has nothing to do).
+        """
+        a = self._a
+        hole = entry.pos
+        if hole < 0 or hole >= len(a) or a[hole] is not entry:
             raise ValueError(f"entry {entry!r} is not in this heap")
-        last = self._a.pop()
+        last = a.pop()
         entry.pos = -1
-        if last is not entry:
-            self._a[pos] = last
-            last.pos = pos
-            self._sift_down(pos)
-            self._sift_up(pos)
+        if last is entry:
+            return
+        size = len(a)
+        key = last.sort_key
+        pos = hole
+        while True:
+            child = 2 * pos + 1
+            if child >= size:
+                break
+            moved = a[child]
+            moved_key = moved.sort_key
+            if child + 1 < size:
+                right = a[child + 1]
+                if right.sort_key > moved_key:
+                    child += 1
+                    moved = right
+                    moved_key = right.sort_key
+            if moved_key <= key:
+                break
+            a[pos] = moved
+            moved.pos = pos
+            pos = child
+        a[pos] = last
+        last.pos = pos
+        if hole:
+            self._sift_up(hole)
 
     # -- MultiPrio-facing queries ------------------------------------------
 
@@ -157,6 +185,7 @@ class TaskHeap:
         root, if any, comes first).
         """
         pred = self._is_stale
+        on_discard = self._on_discard
         while True:
             window = self._a[: max(0, n)]
             if pred is None:
@@ -165,8 +194,10 @@ class TaskHeap:
                 stale = [e for e in window if e.dead or pred(e.task)]
             if not stale:
                 return window
-            for entry in stale:
-                self._discard(entry)
+            for entry in stale:  # _discard, inlined: this runs per pop
+                self.remove(entry)
+                if on_discard is not None:
+                    on_discard(entry)
 
     def purge_stale(self) -> int:
         """Discard every stale entry in the heap; returns the count."""
@@ -198,26 +229,6 @@ class TaskHeap:
             a[pos] = parent
             parent.pos = pos
             pos = parent_pos
-        a[pos] = entry
-        entry.pos = pos
-
-    def _sift_down(self, pos: int) -> None:
-        a = self._a
-        size = len(a)
-        entry = a[pos]
-        key = entry.sort_key
-        while True:
-            child = 2 * pos + 1
-            if child >= size:
-                break
-            right = child + 1
-            if right < size and a[right].sort_key > a[child].sort_key:
-                child = right
-            if a[child].sort_key <= key:
-                break
-            a[pos] = a[child]
-            a[pos].pos = pos
-            pos = child
         a[pos] = entry
         entry.pos = pos
 

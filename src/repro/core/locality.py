@@ -17,16 +17,39 @@ from __future__ import annotations
 
 from repro.runtime.task import _READ_MODES, _WRITE_MODES, Task
 
+#: Integers below this bound are exact as floats (53-bit significand).
+_EXACT_FLOAT_INT = float(1 << 53)
+
 
 def ls_sdh2(task: Task, node: int) -> float:
     """Locality score of ``task`` on memory node ``node`` (higher = more local).
 
     MultiPrio scores up to a window's worth of candidates per admitted
-    pop, so the loop reads ``valid_nodes`` and the mode sets directly
-    instead of going through ``DataHandle.is_valid_on`` and the
-    ``AccessMode.is_read``/``is_write`` properties. The terms are added
-    in access order, so the float sum is the same as the plain loop's.
+    pop, so the sum runs over the task's pre-split access lists
+    (``Task._reads``: read handles of non-zero size; ``Task._writes``)
+    rather than testing each access's mode. That adds the terms in
+    another order than :func:`_ls_sdh2_in_access_order`, the plain loop,
+    but gives the same float: sizes are ints (``DataHandle`` coerces
+    them), so while the sum stays below 2**53 every term and partial sum
+    is an integer a float holds exactly, whatever the order. Rounding
+    can only push a sum up, so a result below 2**53 proves no term was
+    rounded; at or above it the plain loop is used instead.
     """
+    score = 0.0
+    for handle in task._reads:
+        if node in handle.valid_nodes:
+            score += handle.size
+    for handle in task._writes:
+        if node in handle.valid_nodes:
+            size = float(handle.size)
+            score += size * size
+    if score < _EXACT_FLOAT_INT:
+        return score
+    return _ls_sdh2_in_access_order(task, node)
+
+
+def _ls_sdh2_in_access_order(task: Task, node: int) -> float:
+    """Eq. (3) with the terms added in access order."""
     score = 0.0
     for handle, mode in task.accesses:
         if node not in handle.valid_nodes:

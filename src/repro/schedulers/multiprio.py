@@ -57,6 +57,17 @@ restructures a heap even when no take follows. The memo is bypassed when
 The memo changes no schedule, counter or event: it only skips work
 whose answer is already known.
 
+Admitted-pop fast path. A pop that takes a task walks its window in
+decreasing key order, but an exact heap's window starts at the root,
+which holds the largest key: the root is tried first and the rest is
+sorted only if it is rejected (a relaxed window, a concatenation of
+sub-heaps, is sorted up front). A worker of the task's cached best arch
+is admitted without calling ``_admission``, whose best-arch branch every
+override keeps verbatim. LS_SDH² sums over each task's pre-split access
+lists; the sum is exact, and so independent of its order, while it stays
+below 2**53, and :func:`~repro.core.locality.ls_sdh2` falls back to the
+access-order loop above that bound.
+
 Push-time class memo. With stable estimates δ(t, a) depends only on the
 *kernel class* ``(type_name, flops, implementations)``, so PUSH scores a
 class once — δ per arch, best arch, Eq. 1 gains — and reuses it. The node
@@ -422,19 +433,30 @@ class MultiPrio(Scheduler):
             if key is not None:
                 self._miss_memo[key] = 0
             return None
+        # An exact heap's root leads the window and holds its largest
+        # key, so it is tried before the window is sorted; a relaxed
+        # window concatenates sub-heaps, so it is sorted up front.
+        walk = sorted(window, key=_SORT_KEY, reverse=True) if self.relaxed else window[:1]
+        arch = worker.arch
         tries = 0
-        rejected: set[int] = set()
-        for top in sorted(window, key=_SORT_KEY, reverse=True):
+        rejected: tuple[HeapEntry, ...] = ()
+        for top in walk:  # grows once, below, when an exact root is rejected
             if tries >= self.max_tries:
                 break
             # Cheap first pass: the admission test; the (costlier)
             # locality refinement only runs for a candidate that will
-            # actually be taken.
-            admitted, brw, delta = self._admission(top.task, worker)
+            # actually be taken. A best-arch worker is always admitted,
+            # so that verdict skips the call (every _admission keeps it).
+            if top.task.sched.get("_best_arch") == arch:
+                admitted, brw = True, None
+            else:
+                admitted, brw, delta = self._admission(top.task, worker)
             if not admitted:
                 # Skip: leave the entry for when the best workers'
                 # backlog grows; try the next prioritized candidate.
-                rejected.add(id(top))
+                if len(walk) < len(window):
+                    walk.extend(sorted(window[1:], key=_SORT_KEY, reverse=True))
+                rejected += (top,)
                 self._n_skips += 1
                 tries += 1
                 if dec:
@@ -449,7 +471,7 @@ class MultiPrio(Scheduler):
                         delta=delta,
                     )
                 continue
-            live = [e for e in window if id(e) not in rejected]
+            live = [e for e in window if e not in rejected] if rejected else window
             entry = self._locality_refine(top, live, worker)
             # Candidate provenance must be derived before _take mutates
             # best_remaining_work (the admission tests would differ).
@@ -680,15 +702,18 @@ class MultiPrio(Scheduler):
             return top
         threshold = top.gain - self.locality_eps
         node = worker.memory_node
+        arch = worker.arch
         admission = self._admission  # the pop condition, one frame less
         best_entry = top
         best_score = ls_sdh2(top.task, node)
         for entry in live[: self.locality_n]:
             if entry is top or entry.gain < threshold:
                 continue
-            if not admission(entry.task, worker)[0]:
+            task = entry.task
+            # A best-arch worker is always admitted (as in pop's walk).
+            if task.sched.get("_best_arch") != arch and not admission(task, worker)[0]:
                 continue
-            score = ls_sdh2(entry.task, node)
+            score = ls_sdh2(task, node)
             if score > best_score or (
                 score == best_score and entry.sort_key > best_entry.sort_key
             ):

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.heap import TaskHeap
 from repro.runtime.task import Task, TaskState
@@ -140,6 +140,93 @@ def test_random_insert_remove_preserves_invariants(scores, rng):
         if last is not None:
             assert entry.key() <= last
         last = entry.key()
+
+
+class _TwoCallRemoveHeap(TaskHeap):
+    """Reference: ``remove`` as a ``_sift_down`` then a ``_sift_up`` call."""
+
+    def remove(self, entry):
+        pos = entry.pos
+        if pos < 0 or pos >= len(self._a) or self._a[pos] is not entry:
+            raise ValueError(f"entry {entry!r} is not in this heap")
+        last = self._a.pop()
+        entry.pos = -1
+        if last is not entry:
+            self._a[pos] = last
+            last.pos = pos
+            self._sift_down(pos)
+            self._sift_up(pos)
+
+    def _sift_down(self, pos):
+        a = self._a
+        size = len(a)
+        entry = a[pos]
+        key = entry.sort_key
+        while True:
+            child = 2 * pos + 1
+            if child >= size:
+                break
+            right = child + 1
+            if right < size and a[right].sort_key > a[child].sort_key:
+                child = right
+            if a[child].sort_key <= key:
+                break
+            a[pos] = a[child]
+            a[pos].pos = pos
+            pos = child
+        a[pos] = entry
+        entry.pos = pos
+
+
+_heap_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+            st.sampled_from([0.0, 0.5, 1.0]),
+        ),
+        st.tuples(st.just("remove"), st.integers(0, 10**6)),
+        st.tuples(st.just("tombstone"), st.integers(0, 10**6)),
+        st.tuples(st.just("top"), st.integers(0, 12)),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_heap_ops)
+def test_inlined_remove_makes_the_two_call_moves(ops):
+    """Property: under any interleaving of inserts, removals, tombstones
+    and window queries, ``remove`` with its sift-down inlined leaves
+    every slot, every ``pos`` and the discard-callback order as the
+    two-call one does."""
+    discards: tuple[list, list] = ([], [])
+    heaps = (
+        TaskHeap(on_discard=lambda e: discards[0].append(e.task.tid)),
+        _TwoCallRemoveHeap(on_discard=lambda e: discards[1].append(e.task.tid)),
+    )
+    entries: list[tuple] = []  # (fast entry, reference entry) per insert
+    for op in ops:
+        if op[0] == "insert":
+            entries.append(tuple(h.insert(make_task(len(entries)), op[1], op[2])
+                                 for h in heaps))
+            continue
+        present = [pair for pair in entries if pair[0].pos >= 0]
+        if op[0] == "top":
+            windows = [h.top_candidates(op[1]) for h in heaps]
+            assert [e.task.tid for e in windows[0]] == [e.task.tid for e in windows[1]]
+        elif present and op[0] == "remove":
+            for h, e in zip(heaps, present[op[1] % len(present)]):
+                h.remove(e)
+        elif present:
+            for e in present[op[1] % len(present)]:
+                e.dead = True
+        fast, ref = heaps
+        assert [e.task.tid for e in fast] == [e.task.tid for e in ref]
+        assert [e.pos for e in fast] == [e.pos for e in ref]
+        assert [e.pos for e, _ in entries] == [e.pos for _, e in entries]
+        assert discards[0] == discards[1]
+    heaps[0].check_invariants()
 
 
 _OPTIMIZED_CHECK = """

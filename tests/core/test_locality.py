@@ -93,3 +93,31 @@ def test_matches_reference_loop(accesses, node):
     acc = [(handle(i, size, nodes), mode) for i, (size, nodes, mode) in enumerate(accesses)]
     t = Task(0, "k", acc)
     assert ls_sdh2(t, node) == reference_ls_sdh2(t, node)
+
+
+def test_sums_at_or_above_2_53_use_the_access_order_loop():
+    """Past 2**53 a float sum can round, and its order matters: after
+    the big write term, each +1 read rounds away, while three reads
+    summed first (+3) round the total up by 4. The score must still
+    equal the access-order loop."""
+    big = handle(0, 2**27 + 1, {1})
+    ones = [handle(i, 1, {1}) for i in (1, 2, 3)]
+    t = Task(0, "k", [(big, AccessMode.W)] + [(h, AccessMode.R) for h in ones])
+    reads_first = 3.0 + float(2**27 + 1) ** 2
+    assert reads_first != reference_ls_sdh2(t, 1)
+    assert ls_sdh2(t, 1) == reference_ls_sdh2(t, 1)
+
+
+def test_replaced_valid_nodes_are_read_live():
+    """A write replaces a handle's ``valid_nodes`` set (as
+    ``MemoryManager.invalidate_others`` does); a later score must see
+    the new set, not the one present at the first score."""
+    h_rw = handle(0, 64, {1, 2})
+    h_r = handle(1, 8, {1})
+    t = Task(0, "k", [(h_rw, AccessMode.RW), (h_r, AccessMode.R)])
+    assert ls_sdh2(t, 1) == 64.0 + 64.0**2 + 8.0
+    h_rw.valid_nodes = {2}
+    for node in (1, 2):
+        assert ls_sdh2(t, node) == reference_ls_sdh2(t, node)
+    assert ls_sdh2(t, 1) == 8.0
+    assert ls_sdh2(t, 2) == 64.0 + 64.0**2
