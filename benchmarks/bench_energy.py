@@ -1,11 +1,7 @@
 """Energy subsystem bench (the paper's Section VII future work).
 
-Three guards around the power/energy stack:
+Two warn-only measurements of the power/energy machinery:
 
-* the classic policy comparison — baseline MultiPrio against the
-  energy-aware variant on the FMM workload: the variant shifts work
-  toward the ~20x-leaner CPU cores when the energy trade is
-  favourable, saving joules within a bounded makespan premium;
 * the *metering gate* — attaching a passive
   :class:`~repro.runtime.power.PowerStateModel` adds admission, booking
   and charging calls to the engine's hot path; the wall-clock cost must
@@ -13,7 +9,10 @@ Three guards around the power/energy stack:
   throughput;
 * the *EDP scoring overhead* — ``multiprio-edp``'s admission test costs
   two extra estimates and a power lookup per rejected pop; its
-  wall-clock premium over plain ``multiprio`` is recorded (warn-only).
+  wall-clock premium over plain ``multiprio`` is recorded.
+
+The energy-aware MultiPrio claim (fewer joules on FMM at a bounded
+makespan cost) is a tier-1 test in ``tests/extensions/test_energy.py``.
 
 Standalone (the CI perf-smoke entry, warn-only)::
 
@@ -27,16 +26,8 @@ import json
 import time
 from pathlib import Path
 
-from benchmarks.conftest import bench_scale
 from repro.api import SimConfig, SimSpec
-from repro.apps.fmm import fmm_program
-from repro.schedulers.multiprio import MultiPrio
 from repro.experiments.energy_pareto import energy_workload
-from repro.experiments.reporting import format_table
-from repro.extensions.energy import EnergyAwareMultiPrio, energy_of_result
-from repro.platform.machines import intel_v100
-from repro.runtime.engine import Simulator
-from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.power import PowerStateModel
 
 
@@ -147,69 +138,6 @@ def main(argv=None) -> int:
         Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
         print(f"measurements written to {args.json}")
     return 0
-
-
-# -- pytest-benchmark guards -------------------------------------------------
-
-
-def test_energy_aware_multiprio(benchmark, report):
-    program = fmm_program(
-        n_particles=int(100_000 * bench_scale()),
-        height=5,
-        distribution="ellipsoid",
-        seed=7,
-    )
-    machine = intel_v100(4)
-
-    def sweep():
-        out = {}
-        for label, sched in (
-            ("multiprio", MultiPrio()),
-            ("multiprio-energy", EnergyAwareMultiPrio()),
-        ):
-            sim = Simulator(
-                machine.platform(),
-                sched,
-                AnalyticalPerfModel(machine.calibration(), noise_sigma=0.15),
-                seed=0,
-            )
-            res = sim.run(program)
-            out[label] = (res.makespan, energy_of_result(res, sim.platform))
-        return out
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report(
-        format_table(
-            ["scheduler", "makespan ms", "energy J"],
-            [[k, f"{ms / 1e3:.2f}", f"{joules:.2f}"] for k, (ms, joules) in results.items()],
-            title="Energy-aware MultiPrio (FMM, intel-v100)",
-        ),
-        "energy_aware",
-    )
-    base_ms, base_j = results["multiprio"]
-    ener_ms, ener_j = results["multiprio-energy"]
-    assert ener_j <= base_j * 1.02
-    assert ener_ms <= base_ms * 1.30
-
-
-def test_energy_metering_bit_identity(report):
-    """The metering power model must not move the schedule, and the
-    engine's joule total must match the post-hoc conversion exactly."""
-    stream = _stream(max(4, int(8 * bench_scale())))
-    plain = _run(stream)
-    metered = _run(stream, power=PowerStateModel.metering())
-    assert metered.makespan_us == plain.makespan_us
-    energy = metered.sim.energy
-    assert energy is not None
-    report(
-        json.dumps({
-            "makespan_us": metered.makespan_us,
-            "total_energy_j": energy.total_j,
-            "busy_j": energy.busy_j,
-            "idle_j": energy.idle_j,
-        }, indent=2),
-        "energy_metering",
-    )
 
 
 if __name__ == "__main__":

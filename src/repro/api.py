@@ -37,7 +37,7 @@ from repro.runtime.engine import SimResult, Simulator
 from repro.runtime.faults import FaultModel
 from repro.runtime.overhead import SchedOverheadModel
 from repro.runtime.perfmodel import AnalyticalPerfModel
-from repro.runtime.power import ArchPower, PowerModel, PowerStateModel
+from repro.runtime.power import PowerStateModel
 from repro.runtime.resources import ResourceProtocol
 from repro.runtime.stf import Program, template_key
 from repro.schedulers.base import Scheduler
@@ -52,12 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.perfmodel import PerfModel
     from repro.workload.results import StreamResult
     from repro.workload.stream import JobStream
-
-#: Coarse draw charged to architectures the power model does not cover
-#: when attributing per-job energy (an explicit opt-in — the model
-#: itself raises ``KeyError`` on unknown architectures).
-_GENERIC_DRAW = ArchPower(busy_watts=50.0, idle_watts=10.0)
-
 
 @dataclass
 class SimConfig:
@@ -289,20 +283,9 @@ class SimSpec:
                     ).run(job.program).makespan
                 isolated[job.jid] = makespan
 
-        # Per-job busy-energy attribution: with the power subsystem on
-        # (``config.power``) the engine stamped state-aware joules per
-        # task; otherwise joules derive from each task's execution span
-        # at its worker's busy watts. Architectures outside the power
-        # model fall back to an explicit generic 50 W draw so exotic
-        # platforms still report comparable (if coarse) numbers.
-        arch_power = cfg.power.power if cfg.power is not None else PowerModel()
-        watts_of = {
-            w.wid: arch_power.arch_power(
-                w.arch, default=_GENERIC_DRAW
-            ).busy_watts
-            for w in mach.platform().workers
-        }
-
+        # Per-job busy joules come only from the power ledger's
+        # per-task charge; without a power model there are none.
+        metered = cfg.power is not None
         jobs: list[JobResult] = []
         for span in merged.jobs:
             if completed is not None and span.jid not in completed:
@@ -311,12 +294,9 @@ class SimSpec:
             joules = 0.0
             for tid in range(span.first_tid, span.first_tid + span.n_tasks):
                 sched = merged.tasks[tid].sched
-                rec = sched["_record"]
-                records.append(rec)
-                ej = sched.get("_energy_j")
-                if ej is None:
-                    ej = (rec[3] - rec[2]) * watts_of[rec[0]] * 1e-6
-                joules += ej
+                records.append(sched["_record"])
+                if metered:
+                    joules += sched["_energy_j"]
             jobs.append(JobResult(
                 jid=span.jid,
                 name=span.name,
@@ -331,7 +311,7 @@ class SimSpec:
                     if span.deadline_us != float("inf")
                     else None
                 ),
-                energy_j=joules,
+                energy_j=joules if metered else None,
             ))
         control_result = None
         if plane is not None:

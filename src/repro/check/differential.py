@@ -42,9 +42,10 @@ properties a correct simulator cannot violate regardless of policy:
   runnable state at full speed) must reproduce the power-blind run
   bit-for-bit — the admission/booking/charging hooks may only meter,
   never perturb — and the metering model's
-  :class:`~repro.runtime.power.EnergyReport` total must equal
-  :func:`~repro.extensions.energy.energy_of_result` on the same run,
-  bit for bit.
+  :class:`~repro.runtime.power.EnergyReport` total, summed from the
+  ledger's per-state busy accrual, must equal
+  :func:`~repro.extensions.energy.energy_of_result`, summed from the
+  engine's ``busy_us_by_worker``, bit for bit.
 * **Baseline dedup** — stream and cluster runs simulate one isolated
   baseline per distinct program structure (and, on a cluster, per node
   machine model); every job's ``isolated_us`` must still equal a
@@ -573,8 +574,10 @@ def check_power_noop_equivalence(
       ``power=None`` — the single-state degenerate case, same identity;
     * the metering run's ``SimResult.energy.total_j`` vs
       :func:`~repro.extensions.energy.energy_of_result` on that same
-      result — both walk archs → workers in platform order with the
-      same per-worker busy/idle arithmetic, so the joule totals must
+      result — both are :func:`~repro.runtime.power.energy_report`,
+      the first over the ledger's per-state busy accrual, the second
+      over the engine's ``busy_us_by_worker``; the two busy tallies
+      come from the same ``account`` call, so the joule totals must
       agree bit for bit, not just within tolerance.
     """
     from repro.extensions.energy import energy_of_result
@@ -608,8 +611,9 @@ def check_power_noop_equivalence(
         out.append(CheckOutcome(
             f"power.metering_joules[{scheduler}]",
             metered.energy.total_j == recomputed,
-            f"engine metering reported {metered.energy.total_j} J but "
-            f"energy_of_result computes {recomputed} J on the same run",
+            f"the power ledger's busy accrual bills {metered.energy.total_j} J "
+            f"but the engine's busy_us_by_worker bills {recomputed} J on the "
+            "same run",
         ))
     return out
 

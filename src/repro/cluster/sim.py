@@ -63,7 +63,7 @@ from repro.platform.machines import MachineModel
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.stf import Program, template_key
 from repro.sweep import CallSpec, run_tasks
-from repro.utils.validation import ValidationError
+from repro.utils.validation import InvariantError, ValidationError, invariants_enabled
 from repro.workload.merge import merge_stream
 from repro.workload.stream import Job, JobStream
 
@@ -486,19 +486,12 @@ def simulate_cluster(
 
 def _maybe_check(result: ClusterResult, cfg: SimConfig, n_arrived: int) -> None:
     """Run the cluster checker family when invariant checking is on."""
-    enabled = cfg.check_invariants
-    if enabled is None:
-        import os
-
-        enabled = os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
-    if not enabled:
+    if not invariants_enabled(cfg.check_invariants):
         return
     from repro.check.cluster import check_cluster
 
     violations = check_cluster(result, n_arrived=n_arrived)
     if violations:
-        from repro.utils.validation import InvariantError
-
         raise InvariantError(
             "cluster invariants violated:\n  " + "\n  ".join(violations)
         )

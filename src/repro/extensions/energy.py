@@ -9,10 +9,12 @@ Three pieces:
 
 * :class:`ArchPower` / :class:`PowerModel` (re-exported from
   :mod:`repro.runtime.power`, their canonical home since the power
-  subsystem landed) plus :func:`energy_of_result`, which converts any
-  :class:`~repro.runtime.engine.SimResult` into joules — each worker's
-  idle draw is clamped to its *live* horizon, so fail-stop casualties
-  stop drawing at death;
+  subsystem landed) plus :func:`energy_of_result`, a post-hoc view that
+  bills any :class:`~repro.runtime.engine.SimResult` through the power
+  subsystem's one joule sum (:func:`~repro.runtime.power.energy_report`)
+  under :meth:`~repro.runtime.power.PowerStateModel.metering` — each
+  worker's idle draw is clamped to its *live* horizon, so fail-stop
+  casualties stop drawing at death;
 * :class:`EnergyAwareMultiPrio`, which relaxes the pop condition for
   admissions that *save energy*: a slower-but-leaner worker (a CPU core
   at ~12 W vs a GPU at ~250 W) may take a task at a smaller fast-worker
@@ -27,8 +29,8 @@ Three pieces:
   slowdown, trading fewer joules of savings for a tighter makespan than
   ``multiprio-energy``.
 
-For engine-level power states, node caps and native joule reporting see
-:mod:`repro.runtime.power` (``SimConfig(power=...)``).
+For engine-level power states, node caps, per-job joules and native
+joule reporting see :mod:`repro.runtime.power` (``SimConfig(power=...)``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from repro.schedulers.multiprio import MultiPrio
 from repro.runtime.engine import SimResult
 from repro.runtime.platform_config import Platform
-from repro.runtime.power import ArchPower, PowerModel
+from repro.runtime.power import ArchPower, PowerModel, PowerStateModel, energy_report
 from repro.runtime.task import Task
 from repro.runtime.worker import Worker
 from repro.utils.validation import ValidationError, check_positive
@@ -58,7 +60,9 @@ def energy_of_result(
     worker's **live horizon** draws idle power. The horizon is
     ``min(makespan, death time)`` — exactly the clamp the engine applies
     to utilization — so a worker lost to a fail-stop failure stops
-    drawing idle watts at its death rather than for the whole run.
+    drawing idle watts at its death rather than for the whole run. The
+    sum is :func:`~repro.runtime.power.energy_report` under the
+    metering model, the same one the engine's power ledger reports.
 
     ``result`` must come from ``platform``: its ``busy_us_by_worker``
     holds one entry per worker, indexed by worker id. A result from
@@ -72,16 +76,13 @@ def energy_of_result(
             f"the platform has {len(platform.workers)}: it was simulated "
             "on another platform"
         )
-    power = power or PowerModel()
-    total = 0.0
-    deaths = result.death_us_by_worker
-    for arch in platform.archs:
-        for w in platform.workers_of_arch(arch):
-            horizon = min(result.makespan, deaths.get(w.wid, result.makespan))
-            busy = busy_by_worker[w.wid]
-            idle = max(0.0, horizon - busy)
-            total += power.energy_us(arch, busy, idle)
-    return total
+    return energy_report(
+        PowerStateModel.metering(power),
+        platform,
+        {wid: {"full": busy} for wid, busy in enumerate(busy_by_worker)},
+        result.makespan,
+        result.death_us_by_worker,
+    ).total_j
 
 
 class EnergyAwareMultiPrio(MultiPrio):

@@ -25,7 +25,6 @@ behaviour. The engine records what ran only as the
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -77,6 +76,7 @@ from repro.utils.validation import (
     DeadlockError,
     RetryExhaustedError,
     SchedulingError,
+    invariants_enabled,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -440,11 +440,7 @@ class Simulator:
         self.overhead = overhead
         self.resources = resources
         self.power = power
-        if check_invariants is None:
-            check_invariants = os.environ.get(
-                "REPRO_CHECK_INVARIANTS", ""
-            ) not in ("", "0")
-        self.check_invariants = bool(check_invariants)
+        self.check_invariants = invariants_enabled(check_invariants)
         self.record_level = RecordLevel.parse(record_level)
         self.obs: Observability | None = (
             Observability(self.record_level)

@@ -1,9 +1,8 @@
 """DVFS power states, node power caps, and per-run energy accounting.
 
 The paper's Section VII names energy efficiency as the intended
-extension of multi-priority scheduling; this module promotes it from a
-post-hoc conversion (:func:`repro.extensions.energy.energy_of_result`)
-to a first-class engine subsystem:
+extension of multi-priority scheduling; this module makes it a
+first-class engine subsystem and the one source of joules:
 
 * :class:`ArchPower` / :class:`PowerModel` — per-architecture busy/idle
   watts per worker (the static draw profile, shared with the energy-
@@ -16,7 +15,11 @@ to a first-class engine subsystem:
   state workers idle in;
 * :class:`PowerLedger` — the engine's per-run bookkeeping: state
   admission under the caps, per-worker busy-time charging, and the
-  end-of-run :class:`EnergyReport`.
+  end-of-run :class:`EnergyReport`. Its :meth:`~PowerLedger.charge` is
+  the only source of per-task (and so per-job) joules;
+* :func:`energy_report` — the one per-worker busy/idle joule sum, used
+  by :meth:`PowerLedger.finalize` and by the post-hoc view
+  :func:`~repro.extensions.energy.energy_of_result`.
 
 Semantics (see ``DESIGN.md`` §5i):
 
@@ -38,9 +41,9 @@ Semantics (see ``DESIGN.md`` §5i):
   engine's control and is excluded from cap arithmetic;
 * a model whose fastest runnable state is ``full`` (speed 1.0) with no
   caps never changes any schedule decision: the run is bit-identical
-  to ``power=None`` (the ``power.noop`` differential enforces this),
-  and a single-``full``-state model's :class:`EnergyReport` matches
-  :func:`~repro.extensions.energy.energy_of_result` bit-for-bit.
+  to ``power=None`` (the ``power.noop`` differential enforces this);
+  :meth:`PowerStateModel.metering` is the one way to meter a run
+  without changing its schedule.
 """
 
 from __future__ import annotations
@@ -60,10 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.platform_config import Platform
     from repro.runtime.task import Task
     from repro.runtime.worker import Worker
-
-#: Sentinel distinguishing "no default passed" from ``default=None``.
-_RAISE: Any = object()
-
 
 @dataclass(frozen=True)
 class ArchPower:
@@ -100,29 +99,20 @@ class PowerModel:
         if per_arch:
             self._per_arch.update(per_arch)
 
-    def arch_power(self, arch: str, default: ArchPower | None = _RAISE) -> ArchPower:
+    def arch_power(self, arch: str) -> ArchPower:
         """Power profile of one architecture.
 
         Unknown architectures raise ``KeyError`` — a silently invented
         profile would corrupt every energy comparison on platforms with
-        e.g. ``fpga`` workers. Pass ``default=`` to opt into a fallback
-        explicitly.
+        e.g. ``fpga`` workers.
         """
         got = self._per_arch.get(arch)
         if got is None:
-            if default is _RAISE:
-                raise KeyError(
-                    f"no power profile for architecture {arch!r}; pass "
-                    f"per_arch={{{arch!r}: ArchPower(...)}} or an explicit "
-                    "default="
-                )
-            return default
+            raise KeyError(
+                f"no power profile for architecture {arch!r}; pass "
+                f"per_arch={{{arch!r}: ArchPower(...)}}"
+            )
         return got
-
-    def energy_us(self, arch: str, busy_us: float, idle_us: float) -> float:
-        """Energy in joules for the given busy/idle microseconds."""
-        power = self.arch_power(arch)
-        return (busy_us * power.busy_watts + idle_us * power.idle_watts) * 1e-6
 
 
 @dataclass(frozen=True)
@@ -255,11 +245,10 @@ class PowerStateModel:
 
     @classmethod
     def metering(cls, power: PowerModel | None = None) -> "PowerStateModel":
-        """A single-``full``-state, uncapped model: measures energy with
-        zero schedule impact, and its :class:`EnergyReport` matches
-        :func:`~repro.extensions.energy.energy_of_result` bit-for-bit
-        (the same per-worker busy/idle arithmetic, idle billed at the
-        architecture's full idle watts)."""
+        """A single-``full``-state, uncapped model: meters energy with
+        zero schedule impact, idle billed at the architecture's full
+        idle watts (:func:`~repro.extensions.energy.energy_of_result`
+        bills under it)."""
         return cls(states=(PowerState("full"),), power=power or PowerModel())
 
 
@@ -303,6 +292,80 @@ class EnergyReport:
             "throttle_delay_us": self.throttle_delay_us,
             "by_arch": {a: dict(v) for a, v in self.by_arch.items()},
         }
+
+
+def energy_report(
+    model: PowerStateModel,
+    platform: "Platform",
+    busy_us_by_state: Mapping[int, Mapping[str, float]],
+    makespan: float,
+    death_time: Mapping[int, float],
+    n_throttled: int = 0,
+    throttle_delay_us: float = 0.0,
+) -> EnergyReport:
+    """Whole-run joules from per-worker busy time per power state.
+
+    Per worker: busy time accrued per state draws the state-scaled
+    busy watts; the rest of the worker's *live* horizon
+    (``min(makespan, death time)``) draws the idle state's scaled
+    idle watts. Joules are summed per worker, then per architecture
+    — additivity across workers is exact by construction and audited
+    by the checker's ``energy`` family.
+    """
+    idle_scale = model.idle_scale
+    state_order = [s.name for s in model.states]
+    by_arch: dict[str, dict[str, float]] = {}
+    by_worker: list[WorkerEnergy] = []
+    total_j = 0.0
+    busy_j = 0.0
+    for arch in platform.archs:
+        profile = model.power.arch_power(arch)
+        arch_busy_us = 0.0
+        arch_idle_us = 0.0
+        arch_j = 0.0
+        for w in platform.workers_of_arch(arch):
+            per_state = busy_us_by_state[w.wid]
+            horizon = min(makespan, death_time.get(w.wid, makespan))
+            busy_us = 0.0
+            busy_wus = 0.0  # watt-microseconds
+            for name in state_order:
+                us = per_state.get(name)
+                if us is None:
+                    continue
+                busy_us += us
+                busy_wus += us * profile.busy_watts * model.state(name).busy_scale
+            idle_us = max(0.0, horizon - busy_us)
+            joules = (
+                busy_wus + idle_us * profile.idle_watts * idle_scale
+            ) * 1e-6
+            by_worker.append(WorkerEnergy(
+                wid=w.wid,
+                arch=arch,
+                busy_us_by_state=dict(per_state),
+                busy_us=busy_us,
+                idle_us=idle_us,
+                horizon_us=horizon,
+                joules=joules,
+            ))
+            arch_busy_us += busy_us
+            arch_idle_us += idle_us
+            arch_j += joules
+            total_j += joules
+            busy_j += busy_wus * 1e-6
+        by_arch[arch] = {
+            "busy_us": arch_busy_us,
+            "idle_us": arch_idle_us,
+            "joules": arch_j,
+        }
+    return EnergyReport(
+        total_j=total_j,
+        busy_j=busy_j,
+        idle_j=total_j - busy_j,
+        by_arch=by_arch,
+        by_worker=tuple(sorted(by_worker, key=lambda we: we.wid)),
+        n_throttled=n_throttled,
+        throttle_delay_us=throttle_delay_us,
+    )
 
 
 class PowerLedger:
@@ -468,9 +531,10 @@ class PowerLedger:
 
     def charge(self, task: "Task", worker: "Worker", busy_us: float) -> float:
         """Accrue ``busy_us`` of ``task``'s attempt in its admitted state
-        and return its joules, also kept in ``task.sched["_energy_j"]``
-        for per-job attribution (a failed or killed attempt's rollback
-        clears it, so only completions keep one)."""
+        and return its joules, also kept in ``task.sched["_energy_j"]``:
+        the only per-task joules, which per-job attribution sums (a
+        failed or killed attempt's rollback clears it, so only
+        completions keep one)."""
         state = task.sched["_pstate"]
         per_state = self.busy_us_by_state[worker.wid]
         per_state[state.name] = per_state.get(state.name, 0.0) + busy_us
@@ -482,69 +546,10 @@ class PowerLedger:
     def finalize(
         self, makespan: float, death_time: Mapping[int, float]
     ) -> EnergyReport:
-        """The end-of-run :class:`EnergyReport`.
-
-        Per worker: busy time accrued per state draws the state-scaled
-        busy watts; the rest of the worker's *live* horizon
-        (``min(makespan, death time)``) draws the idle state's scaled
-        idle watts. Joules are summed per worker, then per architecture
-        — additivity across workers is exact by construction and audited
-        by the checker's ``energy`` family.
-        """
-        model = self.model
-        idle_scale = model.idle_scale
-        state_order = [s.name for s in model.states]
-        by_arch: dict[str, dict[str, float]] = {}
-        by_worker: list[WorkerEnergy] = []
-        total_j = 0.0
-        busy_j = 0.0
-        for arch in self.platform.archs:
-            profile = model.power.arch_power(arch)
-            arch_busy_us = 0.0
-            arch_idle_us = 0.0
-            arch_j = 0.0
-            for w in self.platform.workers_of_arch(arch):
-                per_state = self.busy_us_by_state[w.wid]
-                horizon = min(makespan, death_time.get(w.wid, makespan))
-                busy_us = 0.0
-                busy_wus = 0.0  # watt-microseconds
-                for name in state_order:
-                    us = per_state.get(name)
-                    if us is None:
-                        continue
-                    busy_us += us
-                    busy_wus += us * profile.busy_watts * model.state(name).busy_scale
-                idle_us = max(0.0, horizon - busy_us)
-                joules = (
-                    busy_wus + idle_us * profile.idle_watts * idle_scale
-                ) * 1e-6
-                by_worker.append(WorkerEnergy(
-                    wid=w.wid,
-                    arch=arch,
-                    busy_us_by_state=dict(per_state),
-                    busy_us=busy_us,
-                    idle_us=idle_us,
-                    horizon_us=horizon,
-                    joules=joules,
-                ))
-                arch_busy_us += busy_us
-                arch_idle_us += idle_us
-                arch_j += joules
-                total_j += joules
-                busy_j += busy_wus * 1e-6
-            by_arch[arch] = {
-                "busy_us": arch_busy_us,
-                "idle_us": arch_idle_us,
-                "joules": arch_j,
-            }
-        return EnergyReport(
-            total_j=total_j,
-            busy_j=busy_j,
-            idle_j=total_j - busy_j,
-            by_arch=by_arch,
-            by_worker=tuple(sorted(by_worker, key=lambda we: we.wid)),
-            n_throttled=self.n_throttled,
-            throttle_delay_us=self.throttle_delay_us,
+        """The end-of-run :class:`EnergyReport` (see :func:`energy_report`)."""
+        return energy_report(
+            self.model, self.platform, self.busy_us_by_state, makespan,
+            death_time, self.n_throttled, self.throttle_delay_us,
         )
 
     def stats(self) -> dict[str, float]:

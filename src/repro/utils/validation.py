@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from typing import Any
 
 
@@ -72,3 +73,12 @@ def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
         )
         raise ValidationError(f"{name} must be {exp}, got {type(value).__name__}")
     return value
+
+
+def invariants_enabled(check_invariants: bool | None) -> bool:
+    """Resolve a ``check_invariants`` setting: ``None`` defers to the
+    ``REPRO_CHECK_INVARIANTS`` environment variable, which turns the
+    checker on unless it is unset, empty or ``"0"``."""
+    if check_invariants is None:
+        return os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
+    return bool(check_invariants)

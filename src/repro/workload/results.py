@@ -43,9 +43,9 @@ class JobResult:
     #: Absolute deadline (arrival + the job's relative deadline);
     #: ``None`` for jobs submitted without one.
     deadline_us: float | None = None
-    #: Busy joules attributed to the job's own executions (idle draw is
-    #: a platform cost and is not attributed); ``None`` when the run
-    #: predates energy attribution.
+    #: Busy joules the power ledger charged to the job's own executions
+    #: (idle draw is a platform cost and is not attributed); ``None``
+    #: when the run had no power model (``SimConfig(power=...)``).
     energy_j: float | None = None
 
     @property
@@ -201,7 +201,7 @@ class StreamResult:
     @property
     def jobs_energy_j(self) -> float:
         """Busy joules attributed to completed jobs (0.0 when the run
-        predates energy attribution)."""
+        had no power model)."""
         return sum(j.energy_j or 0.0 for j in self.jobs)
 
     @property
@@ -209,16 +209,16 @@ class StreamResult:
         """Whole-run joules, idle draw included.
 
         Requires the engine's power subsystem (``SimConfig(power=...)``)
-        — reads ``sim.energy``; ``None`` otherwise (use
-        :attr:`jobs_energy_j` for the attribution-only busy total).
+        — reads ``sim.energy``; ``None`` otherwise. :attr:`jobs_energy_j`
+        is the busy share charged to completed jobs.
         """
         energy = self.sim.energy
         return energy.total_j if energy is not None else None
 
     @property
     def mean_edp_j_s(self) -> float:
-        """Mean per-job energy-delay product, J·s (0.0 when no job
-        carries energy attribution)."""
+        """Mean per-job energy-delay product, J·s (0.0 when the run
+        had no power model)."""
         vals = [j.edp_j_s for j in self.jobs if j.edp_j_s is not None]
         if not vals:
             return 0.0

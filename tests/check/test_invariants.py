@@ -372,6 +372,40 @@ class TestActivation:
         ).run(cholesky_program(4, 384))
         assert res.makespan > 0
 
+    def test_env_var_drives_cluster_check(self, monkeypatch):
+        """The cluster tier reads the same switch as the engine: its
+        checker family runs under ``REPRO_CHECK_INVARIANTS=1``, not when
+        the variable is unset or ``0``, and an explicit flag beats it."""
+        import repro.check.cluster
+        from repro.api import SimSpec
+        from repro.cluster import star_cluster
+        from repro.workload.stream import poisson_stream
+
+        calls: list = []
+
+        def spy(result, n_arrived=None):
+            calls.append(n_arrived)
+            return []
+
+        monkeypatch.setattr(repro.check.cluster, "check_cluster", spy)
+        stream = poisson_stream(
+            [lambda: cholesky_program(3, 512)],
+            rate_jobs_per_s=200.0, n_jobs=2, seed=0,
+        )
+
+        def run(**kwargs):
+            SimSpec(**kwargs).run_cluster(stream, star_cluster(2))
+
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
+        run()
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
+        run()
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+        run(check_invariants=False)
+        assert calls == []
+        run()
+        assert calls == [2]
+
 
 class TestWindowFamily:
     """Unit-drive _check_window: the engine only ever feeds it healthy
