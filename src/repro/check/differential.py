@@ -489,10 +489,11 @@ def check_rt_noop_equivalence(
       deadline-oblivious policy must schedule identically whether or
       not ``Task.deadline_us`` is set (deadlines are data, not control,
       until a policy opts in);
-    * all three ledgers idle at once — ``SchedOverheadModel()``,
-      ``ResourceProtocol()`` and an uncapped ``PowerStateModel()``, with
-      the invariant checker on — vs none of them: the engine's run
-      hooks must compose, not just each be a no-op alone.
+    * all four run hooks idle at once — ``SchedOverheadModel()``,
+      ``ResourceProtocol()``, an uncapped ``PowerStateModel()`` and a
+      zero-rate ``FaultModel``, with the invariant checker on — vs none
+      of them: the engine's run hooks must compose, not just each be a
+      no-op alone.
     """
     from repro.api import SimConfig, SimSpec
     from repro.runtime.overhead import SchedOverheadModel
@@ -547,13 +548,15 @@ def check_rt_noop_equivalence(
         all_idle = SimSpec(
             machine, scheduler, config=cfg, isolated_baseline=False,
             overhead=SchedOverheadModel(), resources=ResourceProtocol(),
-            power=PowerStateModel(), check_invariants=True,
+            power=PowerStateModel(), faults=FaultModel(task_failure_rate=0.0, seed=0),
+            check_invariants=True,
         ).run_stream(_stream(None))
         out.append(CheckOutcome(
             f"rt.ledgers_noop[{scheduler}]",
             fingerprint(plain.sim) == fingerprint(all_idle.sim),
-            "an all-zero overhead model, an idle resource protocol and an "
-            "uncapped power model together perturbed the stream schedule",
+            "an all-zero overhead model, an idle resource protocol, an "
+            "uncapped power model and a zero-rate fault model together "
+            "perturbed the stream schedule",
         ))
     return out
 

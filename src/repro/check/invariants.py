@@ -109,6 +109,7 @@ from typing import TYPE_CHECKING
 
 from repro.obs.events import InvariantViolation
 from repro.runtime.events import BATCH_FLUSH, TASK_RETRY
+from repro.runtime.faults import FaultInjector
 from repro.runtime.task import AccessMode, Task, TaskState
 from repro.utils.validation import InvariantError
 
@@ -184,7 +185,6 @@ class InvariantChecker:
         current: "list[Task | None]",
         staged: "list[tuple[Task, float, float] | None]",
         events: list,
-        fault_active: bool,
         window: int | None = None,
         releases: "list[float] | tuple[float, ...] | None" = None,
         control=None,
@@ -197,8 +197,9 @@ class InvariantChecker:
         ``releases`` must be the engine's own (possibly mutable) list so
         control-plane delay decisions stay visible to the window check;
         ``control`` is the bound :class:`~repro.control.ControlPlane`, or
-        ``None`` for uncontrolled runs. ``hooks`` are the run's ledgers;
-        each one's ``audit(now)`` reports its own violations.
+        ``None`` for uncontrolled runs. ``hooks`` are the run's hooks;
+        each one with an ``audit(now)`` reports its own violations, and
+        the fault hook among them makes rollbacks legal.
         """
         self.program = program
         self.platform = platform
@@ -207,7 +208,8 @@ class InvariantChecker:
         self.current = current
         self.staged = staged
         self.events = events
-        self.fault_active = fault_active
+        # Rollbacks are legal only when the fault hook is attached.
+        self.fault_active = any(isinstance(h, FaultInjector) for h in hooks)
         self.window = window
         self.releases = releases
         self.control = control
@@ -269,7 +271,8 @@ class InvariantChecker:
         if self.batch_pending is not None:
             self._check_batch(revealed, prev_now, violations)
         for hook in self.hooks:
-            violations.extend(hook.audit(self._last_now))
+            if hasattr(hook, "audit"):
+                violations.extend(hook.audit(self._last_now))
         for detail in self.scheduler.check():
             violations.append(("scheduler", str(detail)))
         if self.control is not None:

@@ -53,10 +53,6 @@ class FaultSweepResult:
     rows: list[FaultSweepRow]
     killed_rows: list[FaultSweepRow]
 
-    def rows_of(self, scheduler: str) -> list[FaultSweepRow]:
-        """The transient-failure rows of one scheduler, by rate."""
-        return [r for r in self.rows if r.scheduler == scheduler]
-
 
 def _faults_cell(
     scheduler: str,

@@ -41,26 +41,21 @@ from repro.obs.events import (
     JobSubmit,
     RecordLevel,
     TaskEnd,
-    TaskFault,
     TaskPop,
     TaskReady,
-    TaskRetryScheduled,
     TaskStage,
     TaskStart,
     TaskSubmit,
-    WorkerDeath,
 )
 from repro.obs.metrics import MetricsSnapshot
 from repro.runtime.events import (
     BATCH_FLUSH,
     JOB_ARRIVAL,
     TASK_COMPLETION,
-    TASK_FAILURE,
-    TASK_RETRY,
-    WORKER_FAILURE,
     WORKER_REQUEST,
+    RunOps,
 )
-from repro.runtime.faults import FaultModel, FaultStats
+from repro.runtime.faults import FaultInjector, FaultModel, FaultStats
 from repro.runtime.overhead import OverheadLedger, SchedOverheadModel
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.runtime.platform_config import Platform
@@ -72,9 +67,7 @@ from repro.runtime.trace import worker_idle_fraction
 from repro.runtime.worker import Worker
 from repro.utils.rng import make_rng
 from repro.utils.validation import (
-    DataLossError,
     DeadlockError,
-    RetryExhaustedError,
     SchedulingError,
     invariants_enabled,
 )
@@ -96,33 +89,41 @@ class SchedContext:
     def __init__(self, platform: Platform, perfmodel: "PerfModel") -> None:
         self.platform = platform
         self.perfmodel = perfmodel
-        self.now = 0.0
-        # Workers lost to injected fail-stop failures this run.
-        self._dead_wids: set[int] = set()
-        # Architectures that both exist on the platform and have workers.
-        self.available_archs: tuple[str, ...] = tuple(
-            a for a in platform.archs if platform.n_workers(a) > 0
-        )
+        self.reset()
 
     def reset(self) -> None:
-        """Per-run reset: clock, dead-worker set, available architectures."""
+        """Per-run reset: clock, liveness record and live-worker views."""
         self.now = 0.0
-        self._dead_wids.clear()
-        self.available_archs = tuple(
-            a for a in self.platform.archs if self.platform.n_workers(a) > 0
-        )
+        #: The run's one liveness record: fail-stop death time per worker id.
+        self.death_us: dict[int, float] = {}
+        self._build_views()
 
     # -- liveness ----------------------------------------------------------
 
-    def is_alive(self, worker: Worker) -> bool:
-        """Whether ``worker`` has not been lost to a fail-stop failure."""
-        return worker.wid not in self._dead_wids
-
     def mark_worker_dead(self, worker: Worker) -> None:
-        """Remove ``worker`` from every topology view (fail-stop failure)."""
-        self._dead_wids.add(worker.wid)
-        self.available_archs = tuple(
-            a for a in self.platform.archs if len(self.workers_of_arch(a)) > 0
+        """Record ``worker``'s fail-stop death at the current clock and
+        drop it from every live-worker view."""
+        self.death_us[worker.wid] = self.now
+        self._build_views()
+
+    def _build_views(self) -> None:
+        """The live-worker views: the platform's own lists until a worker
+        dies, filtered copies rebuilt once per death after that."""
+        platform = self.platform
+        dead = self.death_us
+
+        def live(workers: list[Worker]) -> list[Worker]:
+            return [w for w in workers if w.wid not in dead] if dead else workers
+
+        #: All live workers of the platform.
+        self.workers: list[Worker] = live(platform.workers)
+        self._of_arch = {a: live(platform.workers_of_arch(a)) for a in platform.archs}
+        self._of_node = {
+            n.mid: live(platform.workers_of_node(n.mid)) for n in platform.nodes
+        }
+        #: Architectures that both exist on the platform and have live workers.
+        self.available_archs: tuple[str, ...] = tuple(
+            a for a in platform.archs if self._of_arch[a]
         )
 
     # -- estimates ----------------------------------------------------------
@@ -205,37 +206,16 @@ class SchedContext:
 
     # -- topology shortcuts -----------------------------------------------------
 
-    @property
-    def workers(self) -> list[Worker]:
-        """All live workers of the platform."""
-        if not self._dead_wids:
-            return self.platform.workers
-        return [w for w in self.platform.workers if w.wid not in self._dead_wids]
-
     def workers_of_arch(self, arch: str) -> list[Worker]:
         """Live workers of one architecture."""
-        if not self._dead_wids:
-            return self.platform.workers_of_arch(arch)
-        return [
-            w
-            for w in self.platform.workers_of_arch(arch)
-            if w.wid not in self._dead_wids
-        ]
+        return self._of_arch.get(arch, [])
 
     def workers_of_node(self, node: int) -> list[Worker]:
         """Live workers computing from memory node ``node``."""
-        if not self._dead_wids:
-            return self.platform.workers_of_node(node)
-        return [
-            w
-            for w in self.platform.workers_of_node(node)
-            if w.wid not in self._dead_wids
-        ]
+        return self._of_node.get(node, [])
 
     def n_workers(self, arch: str | None = None) -> int:
         """Live worker count, optionally per architecture."""
-        if not self._dead_wids:
-            return self.platform.n_workers(arch)
         if arch is None:
             return len(self.workers)
         return len(self.workers_of_arch(arch))
@@ -295,12 +275,12 @@ class SimResult:
 class Simulator:
     """Runs a :class:`Program` on a :class:`Platform` under a scheduler.
 
-    :meth:`run` is a core event loop plus *run hooks*: ``overhead``,
-    ``resources`` and ``power`` each attach one per-run ledger that the
-    loop reaches only through per-point hook tuples (decisions, start
-    gate, busy charge), merging their ``stats()`` into
-    :attr:`SimResult.rt_stats`; the invariant checker calls their
-    ``audit(now)``. Without them every tuple is empty (``DESIGN.md`` §4).
+    :meth:`run` is a core event loop plus per-run *hooks*: the
+    ``overhead``, ``resources`` and ``power`` ledgers and the
+    ``fault_model``'s :class:`~repro.runtime.faults.FaultInjector`,
+    reached only through per-point hook tuples and a ``handlers`` map of
+    the event kinds a hook owns. Without them every tuple is empty
+    (``DESIGN.md`` §4).
 
     Parameters
     ----------
@@ -324,9 +304,9 @@ class Simulator:
     fault_model:
         Optional :class:`~repro.runtime.faults.FaultModel` injecting
         transient task failures, fail-stop worker failures and link
-        degradation. ``None`` (default) runs the fault-free engine,
-        bit-identical to the pre-resilience behaviour: the fault paths
-        never sample and never touch the execution-noise RNG.
+        degradation through the fault hook. ``None`` (default) attaches
+        no hook; a zero-rate model never fails an attempt, and neither
+        touches the execution-noise RNG.
     record_level:
         :class:`~repro.obs.events.RecordLevel` (or its name) gating the
         observability subsystem: ``"off"`` (default) records nothing and
@@ -484,20 +464,14 @@ class Simulator:
         )
         pm_estimate = self.perfmodel.estimate
 
-        fault = self.fault_model
-        faults = FaultStats() if fault is not None else None
-        # Transient-failure count per task id (for the retry cap).
-        attempts: dict[int, int] = {}
-        if fault is not None:
-            fault.reset()
-            for link in transfers.links():
-                link.degradations = fault.degradation_windows(link.src, link.dst)
-            for death_time, wid in fault.failure_schedule(self.platform):
-                heapq.heappush(events, (death_time, seq, WORKER_FAILURE, wid))
-                seq += 1
+        def post(time: float, kind: int, payload: object) -> None:
+            nonlocal seq
+            heapq.heappush(events, (time, seq, kind, payload))
+            seq += 1
 
         workers = self.platform.workers
         n_workers = len(workers)
+        death_us = ctx.death_us
         # Per-worker pipeline state, indexed by the dense worker id (a
         # list beats a dict on the per-event hot path).
         current: list[Task | None] = [None] * n_workers
@@ -506,10 +480,6 @@ class Simulator:
         exec_by_arch: dict[str, float] = {a: 0.0 for a in self.platform.archs}
         busy_by_worker: list[float] = [0.0] * n_workers
         wait_by_worker: list[float] = [0.0] * n_workers
-        # Fail-stop death times; a dead worker's idle fraction is taken
-        # over its lifetime, not the whole makespan
-        # (worker_idle_fraction).
-        death_time: dict[int, float] = {}
 
         # Batch-mode scheduling state (Firmament-style): ready tasks
         # buffer in `pending` and reach the scheduler as one
@@ -529,13 +499,21 @@ class Simulator:
         # Run hooks (DESIGN.md §4): one tuple of bound methods per hook
         # point, all empty on the classic (bit-identical) path.
         hooks = self._run_hooks(program, emit)
-        push_hooks, pop_hooks, flush_hooks, gate_hooks, book_hooks, charge_hooks = (
+        (
+            begin_hooks, push_hooks, pop_hooks, flush_hooks, gate_hooks,
+            book_hooks, attempt_hooks, charge_hooks, stats_hooks,
+        ) = (
             tuple(getattr(h, point) for h in hooks if hasattr(h, point))
-            for point in ("push", "pop", "flush", "gate", "book", "charge")
+            for point in (
+                "begin", "push", "pop", "flush", "gate", "book", "attempt",
+                "charge", "stats",
+            )
         )
+        # Event kinds the hooks own, dispatched past the core kinds.
+        handlers = {k: f for h in hooks for k, f in getattr(h, "handlers", {}).items()}
 
         def push_ready(task: Task) -> None:
-            nonlocal flush_queued, seq
+            nonlocal flush_queued
             task.state = TaskState.READY
             if emit is not None:
                 emit(TaskReady(ctx.now, task.tid, task.type_name))
@@ -548,10 +526,7 @@ class Simulator:
             pending.append(task)
             if not flush_queued:
                 flush_queued = True
-                heapq.heappush(
-                    events, (ctx.now + batch_step, seq, BATCH_FLUSH, None)
-                )
-                seq += 1
+                post(ctx.now + batch_step, BATCH_FLUSH, None)
 
         def flush_batch(now: float, trigger: str) -> int:
             """Hand the buffered batch to the scheduler (reveal order).
@@ -631,17 +606,8 @@ class Simulator:
                 for tid in range(span.first_tid, span.first_tid + span.n_tasks):
                     job_track[tid] = entry
 
-        # Fail-stop deaths are rare (and impossible without a fault
-        # model), so the hot path iterates a live-worker list that is
-        # rebuilt only on WORKER_FAILURE instead of filtering through
-        # ctx.is_alive() on every wake.
-        live_workers: list[Worker] = list(workers)
-        dead_wids = ctx._dead_wids
-
         def schedule_request(worker: Worker, now: float) -> None:
             nonlocal seq
-            if worker.wid in dead_wids:
-                return
             if not request_pending[worker.wid]:
                 request_pending[worker.wid] = True
                 heapq.heappush(events, (now, seq, WORKER_REQUEST, worker))
@@ -650,7 +616,7 @@ class Simulator:
         def wake_workers(now: float) -> None:
             """Wake live workers that could use new work (idle or unstaged)."""
             nonlocal seq
-            for worker in live_workers:
+            for worker in ctx.workers:
                 wid = worker.wid
                 if (
                     not request_pending[wid]
@@ -711,7 +677,7 @@ class Simulator:
             return len(victims)
 
         def advance_submission() -> None:
-            nonlocal revealed, seq, n_cxl_rev
+            nonlocal revealed, n_cxl_rev
             while revealed < n_total:
                 if window is not None and revealed - n_done - n_cxl_rev >= window:
                     break
@@ -734,10 +700,7 @@ class Simulator:
                                 span.first_tid, span.first_tid + span.n_tasks
                             ):
                                 releases[i] = retry_at
-                            heapq.heappush(
-                                events, (retry_at, seq, JOB_ARRIVAL, None)
-                            )
-                            seq += 1
+                            post(retry_at, JOB_ARRIVAL, None)
                             if emit is not None:
                                 emit(JobDelayed(
                                     ctx.now, span.jid, span.tenant, span.qos,
@@ -779,12 +742,32 @@ class Simulator:
                 if task.n_unfinished_preds == 0 and task.state is TaskState.SUBMITTED:
                     push_ready(task)
 
+        def end_attempt(worker: Worker, now: float) -> tuple[Task | None, float]:
+            task = current[worker.wid]
+            if task is None:
+                return None, 0.0
+            busy = account(worker, task, now)
+            current[worker.wid] = None
+            return task, busy
+
+        def unstage(worker: Worker) -> Task | None:
+            entry = staged[worker.wid]
+            staged[worker.wid] = None
+            return None if entry is None else entry[0]
+
+        # Hooks that own event kinds get the run's core operations once;
+        # the fault hook posts its worker deaths here, ahead of the
+        # release wake-ups in seq order.
+        ops = RunOps(
+            post, end_attempt, unstage, push_ready, schedule_request, wake_workers
+        )
+        for begin in begin_hooks:
+            begin(ops)
         if releases is not None:
             # One wake-up per distinct future arrival time: the STF main
             # thread resumes submitting exactly when the next job lands.
             for arrival_time in sorted({t for t in releases if t > 0.0}):
-                heapq.heappush(events, (arrival_time, seq, JOB_ARRIVAL, None))
-                seq += 1
+                post(arrival_time, JOB_ARRIVAL, None)
         advance_submission()
 
         for worker in workers:
@@ -859,12 +842,12 @@ class Simulator:
                         worker.memory_node, start,
                     )
                 )
-            fail_frac = None if fault is None else fault.attempt_failure(task, worker)
-            if fail_frac is not None:
-                fail_at = start + duration * fail_frac
-                heapq.heappush(events, (fail_at, seq, TASK_FAILURE, (worker, task)))
-            else:
-                heapq.heappush(events, (end, seq, TASK_COMPLETION, (worker, task)))
+            # An attempt hook that fails the attempt posts its own event
+            # in place of the completion.
+            for attempt in attempt_hooks:
+                if attempt(task, worker, start, duration) is not None:
+                    return
+            heapq.heappush(events, (end, seq, TASK_COMPLETION, (worker, task)))
             seq += 1
 
         def account(worker: Worker, task: Task, now: float) -> float:
@@ -880,16 +863,6 @@ class Simulator:
             for charge in charge_hooks:
                 charge(task, worker, busy)
             return busy
-
-        def rollback(task: Task, worker: Worker) -> None:
-            """Undo a take(): unpin inputs, clear scheduler scratch,
-            return the task to SUBMITTED so it can be re-pushed. No MSI
-            invalidation and no perfmodel record happen — the attempt
-            leaves no trace beyond the link time its transfers consumed."""
-            for handle in task.sched.get("_pinned", ()):
-                transfers.unpin(handle, worker.memory_node)
-            task.sched.clear()
-            task.state = TaskState.SUBMITTED
 
         def try_stage(worker: Worker, now: float) -> None:
             """Pop one task ahead and start its transfers (lookahead)."""
@@ -917,7 +890,6 @@ class Simulator:
                 current=current,
                 staged=staged,
                 events=events,
-                fault_active=fault is not None,
                 window=window,
                 releases=releases,
                 control=control,
@@ -939,8 +911,8 @@ class Simulator:
                 worker = payload  # type: ignore[assignment]
                 wid = worker.wid
                 request_pending[wid] = False
-                if wid in dead_wids:
-                    continue
+                if wid in death_us:
+                    continue  # queued before the worker died
                 if pending and batch_drain:
                     # Drain-on-idle: a worker is about to pop, so the
                     # scheduler must see everything the per-event path
@@ -1026,121 +998,6 @@ class Simulator:
                 if released:
                     wake_workers(now)
 
-            elif kind == TASK_FAILURE:
-                worker, task = payload  # type: ignore[misc]
-                wid = worker.wid
-                if current[wid] is not task:
-                    # The worker died mid-attempt; the fail-stop path
-                    # already rolled the task back and re-pushed it.
-                    continue
-                assert fault is not None and faults is not None
-                # Wasted burn is charged like useful work; any booking
-                # (resource, power) lasts to its planned end (conservative).
-                burned = account(worker, task, now)
-                faults.task_failures += 1
-                faults.wasted_exec_us += burned
-                rollback(task, worker)
-                current[wid] = None
-                scheduler.on_task_failed(task, worker)
-                attempts[task.tid] = n_failures = attempts.get(task.tid, 0) + 1
-                if emit is not None:
-                    emit(TaskFault(now, task.tid, wid, burned, n_failures))
-                if n_failures > fault.max_retries:
-                    raise RetryExhaustedError(
-                        f"{task.name} failed {n_failures} attempts, exceeding "
-                        f"the fault model's max_retries={fault.max_retries}"
-                    )
-                faults.retries += 1
-                retry_at = now + fault.backoff_us(n_failures)
-                heapq.heappush(events, (retry_at, seq, TASK_RETRY, task))
-                seq += 1
-                schedule_request(worker, now)
-
-            elif kind == TASK_RETRY:
-                task = payload  # type: ignore[assignment]
-                # Skip when a worker-failure recovery re-pushed the task
-                # (or it even completed) while the backoff was pending.
-                if task.state is TaskState.SUBMITTED and task.n_unfinished_preds == 0:
-                    if emit is not None:
-                        emit(TaskRetryScheduled(now, task.tid, attempts.get(task.tid, 0)))
-                    push_ready(task)
-                    wake_workers(now)
-
-            elif kind == WORKER_FAILURE:
-                wid = payload  # type: ignore[assignment]
-                worker = workers[wid]
-                if not ctx.is_alive(worker):
-                    continue  # scripted and sampled deaths may coincide
-                assert faults is not None
-                archs_before = ctx.available_archs
-                ctx.mark_worker_dead(worker)
-                live_workers = [w for w in workers if w.wid not in dead_wids]
-                death_time[wid] = now
-                faults.worker_failures += 1
-                recovered: list[Task] = []
-                running = current[wid]
-                if running is not None:
-                    faults.wasted_exec_us += account(worker, running, now)
-                    rollback(running, worker)
-                    current[wid] = None
-                    recovered.append(running)
-                if staged[wid] is not None:
-                    staged_task, _, _ = staged[wid]  # type: ignore[misc]
-                    staged[wid] = None
-                    rollback(staged_task, worker)
-                    recovered.append(staged_task)
-                # Orphans queued inside the scheduler for the dead worker.
-                for orphan in scheduler.on_worker_failed(worker):
-                    if orphan.state is TaskState.READY:
-                        orphan.sched.clear()
-                        orphan.state = TaskState.SUBMITTED
-                        recovered.append(orphan)
-                faults.tasks_recovered += len(recovered)
-                if emit is not None:
-                    emit(WorkerDeath(now, wid, worker.name, len(recovered)))
-                # A device memory dies with its last worker: every replica
-                # it hosted is gone. Sole copies that an unfinished task
-                # still needs to read are unrecoverable.
-                mem = self.platform.nodes[worker.memory_node]
-                if mem.kind == "gpu" and not ctx.workers_of_node(mem.mid):
-                    still_read = {
-                        handle.hid
-                        for t in program.tasks
-                        if t.state is not TaskState.DONE
-                        and t.state is not TaskState.CANCELLED
-                        for handle, mode in t.accesses
-                        if mode.is_read
-                    }
-                    for handle in program.handles:
-                        if not handle.is_valid_on(mem.mid):
-                            continue
-                        sole = len(handle.valid_nodes) == 1
-                        if sole and handle.size > 0 and handle.hid in still_read:
-                            raise DataLossError(
-                                f"worker failure of {worker.name} at t={now:.1f}us "
-                                f"destroyed the only replica of {handle.label} "
-                                f"({handle.size} bytes) on node {mem.name!r}, "
-                                "still needed by unfinished tasks"
-                            )
-                        faults.lost_replica_bytes += handle.size
-                        transfers.drop_replica(handle, mem.mid)
-                # An architecture vanished: cached best-arch choices are
-                # stale, and some tasks may have become unschedulable.
-                if ctx.available_archs != archs_before:
-                    for t in program.tasks:
-                        if t.state is TaskState.DONE or t.state is TaskState.CANCELLED:
-                            continue
-                        t.sched.pop("_best_arch", None)
-                        if not any(t.can_exec(a) for a in ctx.available_archs):
-                            raise SchedulingError(
-                                f"worker failure of {worker.name} left {t.name} "
-                                f"with no executable architecture among "
-                                f"{ctx.available_archs}"
-                            )
-                for t in recovered:
-                    push_ready(t)
-                wake_workers(now)
-
             elif kind == JOB_ARRIVAL:
                 # The clock reached a job's release time: resume the STF
                 # submission loop and wake workers if anything came out.
@@ -1149,10 +1006,13 @@ class Simulator:
                 if revealed != before:
                     wake_workers(now)
 
-            else:  # BATCH_FLUSH
+            elif kind == BATCH_FLUSH:
                 flush_queued = False
                 if pending and flush_batch(now, "step"):
                     wake_workers(now)
+
+            else:
+                handlers[kind](now, payload)
 
             # Liveness rescue: nothing in flight but tasks remain.
             if not events and n_done + n_cancelled < n_total:
@@ -1163,9 +1023,7 @@ class Simulator:
                     # rescue pop must never miss buffered work.
                     flush_batch(now, "rescue")
                 progressed = False
-                for worker in workers:
-                    if not ctx.is_alive(worker):
-                        continue
+                for worker in ctx.workers:
                     task = scheduler.pop(worker) or scheduler.force_pop(worker)
                     if task is None:
                         continue
@@ -1220,11 +1078,17 @@ class Simulator:
                 worker_idle_fraction(
                     busy_by_worker[w.wid] + wait_by_worker[w.wid],
                     makespan,
-                    death_time.get(w.wid),
+                    death_us.get(w.wid),
                 )
                 for w in self.platform.workers_of_arch(arch)
             ]
             idle_by_arch[arch] = sum(fracs) / len(fracs) if fracs else 0.0
+        # The SimResult fields hooks fill (energy, faults).
+        fields = {
+            h.result_field: h.finalize(makespan, death_us)
+            for h in hooks if hasattr(h, "finalize")
+        }
+        rt_stats = {k: v for stats in stats_hooks for k, v in stats().items()}
 
         return SimResult(
             makespan=makespan,
@@ -1235,7 +1099,6 @@ class Simulator:
             idle_frac_by_arch=idle_by_arch,
             forced_pops=forced_pops,
             scheduler_stats=scheduler.stats(),
-            faults=faults,
             events=tuple(obs.events) if obs is not None else None,
             metrics=(
                 obs.snapshot(makespan, idle_by_arch) if obs is not None else None
@@ -1251,17 +1114,15 @@ class Simulator:
                 if batching
                 else None
             ),
-            rt_stats={k: v for hook in hooks for k, v in hook.stats().items()} or None,
+            rt_stats=rt_stats or None,
             busy_us_by_worker=tuple(busy_by_worker),
-            death_us_by_worker=dict(death_time),
-            energy=next((
-                hook.finalize(makespan, death_time)
-                for hook in hooks if isinstance(hook, PowerLedger)
-            ), None),
+            death_us_by_worker=dict(death_us),
+            **fields,
         )
 
     def _run_hooks(self, program: Program, emit) -> tuple:
-        """This run's ledgers, in hook order: overhead, resources, power."""
+        """This run's hooks, in hook order: overhead, resources, power,
+        faults."""
         hooks: list = []
         if self.overhead is not None:
             hooks.append(OverheadLedger(self.overhead))
@@ -1269,6 +1130,10 @@ class Simulator:
             hooks.append(ResourceLedger(self.resources, program.tasks, emit))
         if self.power is not None:
             hooks.append(PowerLedger(self.power, self.platform, emit))
+        if self.fault_model is not None:
+            hooks.append(FaultInjector(
+                self.fault_model, program, self.scheduler, self.ctx, emit
+            ))
         return tuple(hooks)
 
     # -- validation ----------------------------------------------------------

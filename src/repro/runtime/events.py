@@ -2,27 +2,37 @@
 
 Events are plain tuples ``(time, seq, kind, payload)`` on a binary heap —
 the sequence number makes simultaneous events deterministic and keeps
-tuple comparison away from payload objects. The kinds:
+tuple comparison away from payload objects. The engine's own loop
+handles the core kinds:
 
 * ``TASK_COMPLETION`` — a worker finishes a task; payload ``(worker, task)``.
 * ``WORKER_REQUEST`` — an idle worker asks the scheduler for work
   (StarPU's POP hook); payload ``worker``.
-* ``TASK_FAILURE`` — an injected transient failure aborts a running
-  attempt; payload ``(worker, task)``. Scheduled *instead of* the
-  completion event when the fault model fails the attempt.
-* ``WORKER_FAILURE`` — an injected fail-stop failure kills a worker;
-  payload ``wid``.
-* ``TASK_RETRY`` — a previously-failed task's virtual-time backoff
-  expires and it re-enters the scheduler; payload ``task``.
 * ``JOB_ARRIVAL`` — a job of a merged stream reaches its release time
   and the STF "main thread" resumes submitting; payload ``None`` (the
   engine re-runs its submission loop against the clock).
 * ``BATCH_FLUSH`` — batch-mode scheduling only: the configured
   ``batch_step`` elapsed since ready tasks started buffering, so the
   engine hands the whole batch to the scheduler; payload ``None``.
+
+The fault hook (:class:`~repro.runtime.faults.FaultInjector`) owns the
+other three; the loop dispatches them through its ``handlers`` map:
+
+* ``TASK_FAILURE`` — an injected transient failure aborts a running
+  attempt; payload ``(worker, task)``. Posted *instead of* the
+  completion event when the fault model fails the attempt.
+* ``WORKER_FAILURE`` — an injected fail-stop failure kills a worker;
+  payload ``wid``.
+* ``TASK_RETRY`` — a previously-failed task's virtual-time backoff
+  expires and it re-enters the scheduler; payload ``task``.
+
+A hook that owns event kinds reaches the run only through the
+:class:`RunOps` its ``begin`` receives.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 TASK_COMPLETION = 0
 WORKER_REQUEST = 1
@@ -32,12 +42,21 @@ TASK_RETRY = 4
 JOB_ARRIVAL = 5
 BATCH_FLUSH = 6
 
-KIND_NAMES = {
-    TASK_COMPLETION: "completion",
-    WORKER_REQUEST: "request",
-    TASK_FAILURE: "task-failure",
-    WORKER_FAILURE: "worker-failure",
-    TASK_RETRY: "retry",
-    JOB_ARRIVAL: "job-arrival",
-    BATCH_FLUSH: "batch-flush",
-}
+
+class RunOps(NamedTuple):
+    """The core operations of one run, handed once to a hook that owns
+    event kinds. ``post(time, kind, payload)`` queues an event;
+    ``end_attempt(worker, now) -> (task, busy)`` charges the worker's
+    running attempt up to ``now`` and frees the worker (``(None, 0.0)``
+    when it runs nothing); ``unstage(worker)`` takes back its staged
+    lookahead task, or ``None``; ``push_ready(task)`` releases a task to
+    the scheduler (or the batch); ``request(worker, now)`` and
+    ``wake(now)`` have one worker, or every live worker that could use
+    work, ask for it."""
+
+    post: Callable
+    end_attempt: Callable
+    unstage: Callable
+    push_ready: Callable
+    request: Callable
+    wake: Callable

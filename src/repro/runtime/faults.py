@@ -18,25 +18,37 @@ from its *own* seeded RNG stream, so (a) a run with a fault model is
 deterministic given the seed, and (b) a run *without* one is bit-identical
 to the fault-free engine — the engine's execution-noise RNG is never
 touched by fault sampling.
+
+:class:`FaultInjector` is the engine's fault run hook: it samples every
+attempt and owns the three fault event kinds and their recovery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro.obs.events import TaskFault, TaskRetryScheduled, WorkerDeath
+from repro.runtime.events import TASK_FAILURE, TASK_RETRY, WORKER_FAILURE, RunOps
+from repro.runtime.task import TaskState
 from repro.utils.validation import (
+    DataLossError,
+    RetryExhaustedError,
+    SchedulingError,
     ValidationError,
     check_in_range,
     check_non_negative,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.runtime.engine import SchedContext
     from repro.runtime.platform_config import Platform
+    from repro.runtime.stf import Program
     from repro.runtime.task import Task
     from repro.runtime.worker import Worker
+    from repro.schedulers.base import Scheduler
 
 
 @dataclass(frozen=True)
@@ -89,14 +101,7 @@ class FaultStats:
 
     def as_dict(self) -> dict[str, float]:
         """Flat mapping for reporting tables."""
-        return {
-            "task_failures": float(self.task_failures),
-            "retries": float(self.retries),
-            "worker_failures": float(self.worker_failures),
-            "tasks_recovered": float(self.tasks_recovered),
-            "lost_replica_bytes": float(self.lost_replica_bytes),
-            "wasted_exec_us": float(self.wasted_exec_us),
-        }
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
 def parse_kill_spec(spec: str) -> tuple[int, float]:
@@ -284,7 +289,177 @@ class FaultModel:
         )
 
 
+class FaultInjector:
+    """The engine's fault run hook: one :class:`FaultModel` for one run.
+
+    :meth:`begin` gets the run's :class:`~repro.runtime.events.RunOps`
+    once; :meth:`attempt` samples each execution attempt; ``handlers``
+    maps the three fault event kinds to their handlers. Deaths are
+    recorded on the scheduler context (``SchedContext.death_us``).
+    """
+
+    #: The :class:`~repro.runtime.engine.SimResult` field :meth:`finalize` fills.
+    result_field = "faults"
+
+    def __init__(
+        self, model: FaultModel, program: "Program", scheduler: "Scheduler",
+        ctx: "SchedContext", emit: Callable | None = None,
+    ) -> None:
+        self.model = model
+        self.program = program
+        self.platform = ctx.platform
+        self.scheduler = scheduler
+        self.ctx = ctx
+        self.emit = emit
+        self.counts = FaultStats()
+        #: Transient-failure count per task id (for the retry cap).
+        self.n_failed: dict[int, int] = {}
+        self.handlers = {
+            TASK_FAILURE: self.on_task_failure,
+            TASK_RETRY: self.on_task_retry,
+            WORKER_FAILURE: self.on_worker_failure,
+        }
+
+    def begin(self, ops: RunOps) -> None:
+        """Bind the run's operations, re-seed the model, install its link
+        degradations and post its worker deaths."""
+        self.ops = ops
+        self.model.reset()
+        for link in self.platform.transfers.links():
+            link.degradations = self.model.degradation_windows(link.src, link.dst)
+        for time_us, wid in self.model.failure_schedule(self.platform):
+            ops.post(time_us, WORKER_FAILURE, wid)
+
+    def attempt(
+        self, task: "Task", worker: "Worker", start: float, duration: float
+    ) -> float | None:
+        """Sample one attempt; on failure post its ``TASK_FAILURE`` in
+        place of the completion and return the failure time."""
+        frac = self.model.attempt_failure(task, worker)
+        if frac is None:
+            return None
+        fail_at = start + duration * frac
+        self.ops.post(fail_at, TASK_FAILURE, (worker, task))
+        return fail_at
+
+    def rollback(self, task: "Task", worker: "Worker") -> None:
+        """Undo an attempt's take: unpin its inputs, clear its scratch and
+        return it to SUBMITTED. No MSI invalidation and no perfmodel
+        record: it leaves no trace beyond the link time it consumed."""
+        for handle in task.sched.get("_pinned", ()):
+            self.platform.transfers.unpin(handle, worker.memory_node)
+        task.sched.clear()
+        task.state = TaskState.SUBMITTED
+
+    def on_task_failure(self, now: float, payload) -> None:
+        worker, task = payload
+        if worker.wid in self.ctx.death_us:
+            return  # the worker's death already rolled the task back
+        model, counts = self.model, self.counts
+        # Wasted burn is charged like useful work; any booking
+        # (resource, power) lasts to its planned end (conservative).
+        _, burned = self.ops.end_attempt(worker, now)
+        counts.task_failures += 1
+        counts.wasted_exec_us += burned
+        self.rollback(task, worker)
+        self.scheduler.on_task_failed(task, worker)
+        self.n_failed[task.tid] = n_failures = self.n_failed.get(task.tid, 0) + 1
+        if self.emit is not None:
+            self.emit(TaskFault(now, task.tid, worker.wid, burned, n_failures))
+        if n_failures > model.max_retries:
+            raise RetryExhaustedError(
+                f"{task.name} failed {n_failures} attempts, exceeding "
+                f"the fault model's max_retries={model.max_retries}"
+            )
+        counts.retries += 1
+        self.ops.post(now + model.backoff_us(n_failures), TASK_RETRY, task)
+        self.ops.request(worker, now)
+
+    def on_task_retry(self, now: float, task: "Task") -> None:
+        # Skip when a control-plane eviction cancelled the task while its
+        # backoff was pending (nothing else re-pushes it meanwhile).
+        if task.state is TaskState.SUBMITTED and task.n_unfinished_preds == 0:
+            if self.emit is not None:
+                self.emit(TaskRetryScheduled(now, task.tid, self.n_failed[task.tid]))
+            self.ops.push_ready(task)
+            self.ops.wake(now)
+
+    def on_worker_failure(self, now: float, wid: int) -> None:
+        ctx, counts, ops = self.ctx, self.counts, self.ops
+        worker = self.platform.workers[wid]
+        archs_before = ctx.available_archs
+        ctx.mark_worker_dead(worker)
+        counts.worker_failures += 1
+        recovered: list["Task"] = []
+        running, burned = ops.end_attempt(worker, now)
+        if running is not None:
+            counts.wasted_exec_us += burned
+            self.rollback(running, worker)
+            recovered.append(running)
+        staged = ops.unstage(worker)
+        if staged is not None:
+            self.rollback(staged, worker)
+            recovered.append(staged)
+        # Orphans queued inside the scheduler for the dead worker.
+        for orphan in self.scheduler.on_worker_failed(worker):
+            if orphan.state is TaskState.READY:
+                orphan.sched.clear()
+                orphan.state = TaskState.SUBMITTED
+                recovered.append(orphan)
+        counts.tasks_recovered += len(recovered)
+        if self.emit is not None:
+            self.emit(WorkerDeath(now, wid, worker.name, len(recovered)))
+        # A device memory dies with its last worker: every replica it
+        # hosted is gone. Sole copies that an unfinished task still needs
+        # to read are unrecoverable.
+        tasks = self.program.tasks
+        mem = self.platform.nodes[worker.memory_node]
+        if mem.kind == "gpu" and not ctx.workers_of_node(mem.mid):
+            still_read = {
+                handle.hid
+                for t in tasks
+                if t.state is not TaskState.DONE
+                and t.state is not TaskState.CANCELLED
+                for handle, mode in t.accesses
+                if mode.is_read
+            }
+            for handle in self.program.handles:
+                if not handle.is_valid_on(mem.mid):
+                    continue
+                sole = len(handle.valid_nodes) == 1
+                if sole and handle.size > 0 and handle.hid in still_read:
+                    raise DataLossError(
+                        f"worker failure of {worker.name} at t={now:.1f}us "
+                        f"destroyed the only replica of {handle.label} "
+                        f"({handle.size} bytes) on node {mem.name!r}, "
+                        "still needed by unfinished tasks"
+                    )
+                counts.lost_replica_bytes += handle.size
+                self.platform.transfers.drop_replica(handle, mem.mid)
+        # An architecture vanished: cached best-arch choices are stale,
+        # and some tasks may have become unschedulable.
+        if ctx.available_archs != archs_before:
+            for t in tasks:
+                if t.state is TaskState.DONE or t.state is TaskState.CANCELLED:
+                    continue
+                t.sched.pop("_best_arch", None)
+                if not any(t.can_exec(a) for a in ctx.available_archs):
+                    raise SchedulingError(
+                        f"worker failure of {worker.name} left {t.name} "
+                        f"with no executable architecture among "
+                        f"{ctx.available_archs}"
+                    )
+        for t in recovered:
+            ops.push_ready(t)
+        ops.wake(now)
+
+    def finalize(self, makespan: float, death_us: Mapping[int, float]) -> FaultStats:
+        """The run's :class:`FaultStats`."""
+        return self.counts
+
+
 __all__ = [
+    "FaultInjector",
     "FaultModel",
     "FaultStats",
     "LinkDegradation",

@@ -387,6 +387,8 @@ class PowerLedger:
         "n_admissions", "n_throttled", "throttle_delay_us",
         "_busy_watts", "_floor_watts", "_audit_floor",
     )
+    #: The :class:`~repro.runtime.engine.SimResult` field :meth:`finalize` fills.
+    result_field = "energy"
 
     def __init__(
         self, model: PowerStateModel, platform: "Platform",
