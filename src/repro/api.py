@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.result import ClusterResult
     from repro.cluster.spec import ClusterSpec
     from repro.cluster.topology import Cluster
-    from repro.control.plane import ControlConfig, ControlPlane
+    from repro.control.plane import ControlConfig
     from repro.runtime.perfmodel import PerfModel
     from repro.workload.results import StreamResult
     from repro.workload.stream import JobStream
@@ -98,7 +98,7 @@ def _build_simulator(
     cfg: SimConfig,
     mach: MachineModel,
     scheduler: Scheduler | str,
-    control_plane: "ControlPlane | None" = None,
+    control: "ControlConfig | None" = None,
 ) -> Simulator:
     """One fully-wired :class:`Simulator` from a config bundle."""
     if isinstance(scheduler, str):
@@ -123,7 +123,7 @@ def _build_simulator(
         fault_model=cfg.faults,
         record_level=cfg.record_level,
         check_invariants=cfg.check_invariants,
-        control_plane=control_plane,
+        control=control,
         batch_step=cfg.batch_step,
         batch_drain_on_idle=cfg.batch_drain_on_idle,
         overhead=cfg.overhead,
@@ -207,12 +207,10 @@ class SimSpec:
     def _machine(self) -> MachineModel:
         return _resolve_machine(self.machine)
 
-    def simulator(
-        self, control_plane: "ControlPlane | None" = None
-    ) -> Simulator:
+    def simulator(self) -> Simulator:
         """A fully-wired engine for this spec (fresh every call)."""
         return _build_simulator(
-            self.config, self._machine(), self.scheduler, control_plane
+            self.config, self._machine(), self.scheduler, self.control
         )
 
     @property
@@ -253,12 +251,8 @@ class SimSpec:
         cfg = self.config
         mach = self._machine()
         merged = merge_stream(stream)
-        plane = None
-        if self.control is not None:
-            from repro.control.plane import ControlPlane
-
-            plane = ControlPlane(self.control)
-        res = _build_simulator(cfg, mach, self.scheduler, plane).run(merged)
+        res = _build_simulator(cfg, mach, self.scheduler, self.control).run(merged)
+        plane = res.control
 
         # Under a control plane only completed jobs have execution
         # records; shed/evicted jobs are reported through ControlResult.

@@ -489,13 +489,14 @@ def check_rt_noop_equivalence(
       deadline-oblivious policy must schedule identically whether or
       not ``Task.deadline_us`` is set (deadlines are data, not control,
       until a policy opts in);
-    * all four run hooks idle at once — ``SchedOverheadModel()``,
-      ``ResourceProtocol()``, an uncapped ``PowerStateModel()`` and a
-      zero-rate ``FaultModel``, with the invariant checker on — vs none
-      of them: the engine's run hooks must compose, not just each be a
-      no-op alone.
+    * all five run hooks idle at once — ``SchedOverheadModel()``,
+      ``ResourceProtocol()``, an uncapped ``PowerStateModel()``, a
+      zero-rate ``FaultModel`` and ``ControlConfig.unlimited()``, with
+      the invariant checker on — vs none of them: the engine's run hooks
+      must compose, not just each be a no-op alone.
     """
     from repro.api import SimConfig, SimSpec
+    from repro.control.plane import ControlConfig
     from repro.runtime.overhead import SchedOverheadModel
     from repro.runtime.power import PowerStateModel
     from repro.runtime.resources import ResourceProtocol
@@ -549,14 +550,14 @@ def check_rt_noop_equivalence(
             machine, scheduler, config=cfg, isolated_baseline=False,
             overhead=SchedOverheadModel(), resources=ResourceProtocol(),
             power=PowerStateModel(), faults=FaultModel(task_failure_rate=0.0, seed=0),
-            check_invariants=True,
+            control=ControlConfig.unlimited(), check_invariants=True,
         ).run_stream(_stream(None))
         out.append(CheckOutcome(
             f"rt.ledgers_noop[{scheduler}]",
             fingerprint(plain.sim) == fingerprint(all_idle.sim),
             "an all-zero overhead model, an idle resource protocol, an "
-            "uncapped power model and a zero-rate fault model together "
-            "perturbed the stream schedule",
+            "uncapped power model, a zero-rate fault model and an "
+            "unlimited control plane together perturbed the stream schedule",
         ))
     return out
 

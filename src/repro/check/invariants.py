@@ -107,6 +107,7 @@ from itertools import compress
 from operator import ne
 from typing import TYPE_CHECKING
 
+from repro.control.plane import ControlPlane
 from repro.obs.events import InvariantViolation
 from repro.runtime.events import BATCH_FLUSH, TASK_RETRY
 from repro.runtime.faults import FaultInjector
@@ -187,7 +188,6 @@ class InvariantChecker:
         events: list,
         window: int | None = None,
         releases: "list[float] | tuple[float, ...] | None" = None,
-        control=None,
         batch_pending: list[Task] | None = None,
         batch_drain: bool = True,
         hooks: tuple = (),
@@ -195,11 +195,11 @@ class InvariantChecker:
         """Bind one run's live state and snapshot the starting point.
 
         ``releases`` must be the engine's own (possibly mutable) list so
-        control-plane delay decisions stay visible to the window check;
-        ``control`` is the bound :class:`~repro.control.ControlPlane`, or
-        ``None`` for uncontrolled runs. ``hooks`` are the run's hooks;
-        each one with an ``audit(now)`` reports its own violations, and
-        the fault hook among them makes rollbacks legal.
+        control-plane delay decisions stay visible to the window check.
+        ``hooks`` are the run's hooks; each one with an ``audit(now)``
+        reports its own violations, the fault hook among them makes
+        rollbacks legal, and the control plane among them makes
+        cancellations legal.
         """
         self.program = program
         self.platform = platform
@@ -212,7 +212,8 @@ class InvariantChecker:
         self.fault_active = any(isinstance(h, FaultInjector) for h in hooks)
         self.window = window
         self.releases = releases
-        self.control = control
+        # Cancellations are legal only when the control plane is attached.
+        self.control = next((h for h in hooks if isinstance(h, ControlPlane)), None)
         self.batch_pending = batch_pending
         self.batch_drain = batch_drain
         self.hooks = hooks
@@ -275,9 +276,6 @@ class InvariantChecker:
                 violations.extend(hook.audit(self._last_now))
         for detail in self.scheduler.check():
             violations.append(("scheduler", str(detail)))
-        if self.control is not None:
-            for detail in self.control.audit():
-                violations.append(("control", str(detail)))
         if violations:
             self._report(violations)
 

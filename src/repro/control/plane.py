@@ -1,19 +1,20 @@
 """The admission controller: accept / delay / shed / evict decisions.
 
-The :class:`ControlPlane` sits between a merged job stream and the
-engine's reveal loop. When the STF submission pointer reaches a job's
-first task, the engine asks :meth:`ControlPlane.decide`; the verdict is
-one of
+The :class:`ControlPlane` is the engine's admission run hook, between
+a merged job stream and the engine's reveal loop. When the STF
+submission pointer reaches a job's first task, the loop calls
+:meth:`ControlPlane.reveal`, which asks :meth:`ControlPlane.decide`;
+the verdict is one of
 
 ``accept``
     The job is admitted: its estimated work is charged to the tenant's
     token bucket (:mod:`repro.control.quota`) and added to the global
     in-flight budget. Guaranteed-class jobs are *always* accepted —
     under overload they may carry a list of best-effort jobs to evict
-    first (the engine cancels those jobs' unstarted tasks).
+    first (the plane cancels those jobs' unstarted tasks).
 ``delay``
-    The job is pushed back: the engine bumps the job's release times to
-    ``retry_at`` (bounded exponential backoff) and re-decides when the
+    The job is pushed back: its release times move to ``retry_at``
+    (bounded exponential backoff) and the plane re-decides when the
     clock gets there. Only burstable jobs are delayed, at most
     ``max_delays`` times. Because release times gate the reveal pointer,
     a delayed job blocks later arrivals — deliberate head-of-line
@@ -33,14 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.control.quota import QuotaAccountant, TenantQuota
-from repro.utils.validation import ValidationError
+from repro.obs.events import JobAdmitted, JobDelayed, JobEvicted, JobRejected
+from repro.utils.validation import SchedulingError, ValidationError
 from repro.workload.stream import QOS_CLASSES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.runtime.events import RunOps
     from repro.runtime.perfmodel import PerfModel
+    from repro.runtime.task import Task
     from repro.workload.merge import StreamProgram
 
 
@@ -87,6 +91,10 @@ class ControlConfig:
         if self.slo_slowdown <= 0:
             raise ValidationError(f"slo_slowdown must be > 0, got {self.slo_slowdown}")
 
+    def plane(self, program, perfmodel, archs, emit=None) -> "ControlPlane":
+        """The run hook enforcing this config over one merged stream."""
+        return ControlPlane(self, program, perfmodel, archs, emit)
+
     @classmethod
     def unlimited(cls) -> "ControlConfig":
         """The structural no-op: infinite credits, no global budget, no
@@ -116,19 +124,23 @@ class JobRecord:
     """Mutable per-job control state (internal to the plane)."""
 
     __slots__ = (
-        "jid", "name", "tenant", "qos", "arrival_us", "n_tasks", "cost_us",
-        "status", "n_delays", "first_decided_us", "admitted_us", "settled_us",
-        "remaining_us", "n_left", "n_cancelled", "shed_reason", "admit_seq",
+        "jid", "name", "tenant", "qos", "arrival_us", "first_tid", "n_tasks",
+        "cost_us", "status", "n_delays", "first_decided_us", "admitted_us",
+        "settled_us", "remaining_us", "n_left", "n_cancelled", "shed_reason",
+        "admit_seq",
     )
 
-    def __init__(self, jid, name, tenant, qos, arrival_us, n_tasks, cost_us):
-        self.jid = jid
-        self.name = name
-        self.tenant = tenant
-        self.qos = qos
-        self.arrival_us = arrival_us
-        self.n_tasks = n_tasks
-        self.cost_us = cost_us
+    def __init__(self, span):
+        self.jid = span.jid
+        self.name = span.name
+        self.tenant = span.tenant
+        self.qos = span.qos
+        self.arrival_us = span.arrival_us
+        #: The job owns tasks ``[first_tid, first_tid + n_tasks)``.
+        self.first_tid = span.first_tid
+        self.n_tasks = span.n_tasks
+        #: Σ min-arch δ(t) over the job's tasks, set by the plane.
+        self.cost_us = 0.0
         #: pending -> admitted -> done, or pending -> shed,
         #: or admitted -> evicted.
         self.status = "pending"
@@ -137,64 +149,53 @@ class JobRecord:
         self.admitted_us: float | None = None
         self.settled_us: float | None = None
         self.remaining_us = 0.0
-        self.n_left = n_tasks
+        self.n_left = span.n_tasks
         self.n_cancelled = 0
         self.shed_reason = ""
         self.admit_seq = -1
 
 
 class ControlPlane:
-    """Stateful admission controller bound to one engine run.
+    """The engine's admission run hook: one :class:`ControlConfig` over
+    one merged job stream, costing every job once as Σ min-arch δ(t).
 
-    The engine calls :meth:`begin_run` once (costing every job from the
-    run's perf model), :meth:`decide` each time the reveal pointer hits
-    an undecided job, and :meth:`on_task_done` /
-    :meth:`on_task_cancelled` as tasks settle. :meth:`audit` re-derives
-    the credit-conservation invariants for :mod:`repro.check`.
+    :meth:`begin` gets the run's :class:`~repro.runtime.events.RunOps`;
+    :meth:`reveal` decides a job when the reveal pointer reaches its
+    first task; :meth:`on_task_done` and :meth:`on_task_cancelled`
+    settle its tasks; :meth:`finalize` hands the finished plane to
+    ``SimResult.control``; :meth:`audit` re-derives the credit-
+    conservation invariants for :mod:`repro.check`.
     """
 
-    def __init__(self, config: ControlConfig | None = None) -> None:
-        self.config = config if config is not None else ControlConfig()
-        self.accountant = QuotaAccountant(
-            self.config.quotas, self.config.default_quota
-        )
+    #: The :class:`~repro.runtime.engine.SimResult` field :meth:`finalize` fills.
+    result_field = "control"
+
+    def __init__(
+        self, config: ControlConfig, program: "StreamProgram", perfmodel: "PerfModel",
+        archs: Sequence[str], emit: Callable | None = None,
+    ) -> None:
+        jobs = getattr(program, "jobs", None)
+        if not jobs:
+            raise SchedulingError(
+                "a control plane needs a merged job-stream program "
+                "(merge_stream output with job spans); got a plain Program"
+            )
+        self.config = config
+        self.emit = emit
+        self.accountant = QuotaAccountant(config.quotas, config.default_quota)
         self._records: dict[int, JobRecord] = {}
         self._rec_of_tid: dict[int, JobRecord] = {}
         self._cost_of_tid: dict[int, float] = {}
+        #: Records by their job's first task id, where :meth:`reveal` decides.
+        self._rec_at_first: dict[int, JobRecord] = {}
         self.inflight_us = 0.0
         self._admit_seq = 0
         self.n_arrived = 0
         self.n_delays_total = 0
-        self._violations: list[str] = []
-
-    # -- run lifecycle -----------------------------------------------------
-
-    def begin_run(
-        self,
-        program: "StreamProgram",
-        perfmodel: "PerfModel",
-        archs: Sequence[str],
-    ) -> None:
-        """Bind one merged stream: cost every job as Σ min-arch δ(t)."""
-        self.accountant = QuotaAccountant(
-            self.config.quotas, self.config.default_quota
-        )
-        self._records.clear()
-        self._rec_of_tid.clear()
-        self._cost_of_tid.clear()
-        self.inflight_us = 0.0
-        self._admit_seq = 0
-        self.n_arrived = 0
-        self.n_delays_total = 0
-        self._violations = []
         archs = tuple(archs)
-        for span in program.jobs:
+        for span in jobs:
             cost = 0.0
-            rec = JobRecord(
-                span.jid, span.name, span.tenant,
-                getattr(span, "qos", "burstable"),
-                span.arrival_us, span.n_tasks, 0.0,
-            )
+            rec = JobRecord(span)
             for tid in range(span.first_tid, span.first_tid + span.n_tasks):
                 task = program.tasks[tid]
                 dmin = min(
@@ -205,6 +206,59 @@ class ControlPlane:
                 self._rec_of_tid[tid] = rec
             rec.cost_us = cost
             self._records[span.jid] = rec
+            self._rec_at_first[span.first_tid] = rec
+
+    # -- run hook points ---------------------------------------------------
+
+    def begin(self, ops: "RunOps") -> None:
+        """Bind the run's operations (``cancel`` and ``delay``)."""
+        self.ops = ops
+
+    def reveal(self, task: "Task", now: float) -> bool:
+        """Admit (after any evictions), shed or delay the job whose first
+        task the reveal pointer reached; ``False`` (a delay) holds the
+        reveal loop back."""
+        rec = self._rec_at_first.get(task.tid)
+        if rec is None:
+            return True
+        decision = self.decide(rec.jid, now)
+        emit = self.emit
+        if decision.action == "delay":
+            self.ops.delay(rec.first_tid, rec.n_tasks, decision.retry_at_us)
+            if emit is not None:
+                emit(JobDelayed(
+                    now, rec.jid, rec.tenant, rec.qos, decision.retry_at_us,
+                    decision.attempt, decision.reason,
+                ))
+            return False
+        if decision.action == "shed":
+            self._cancel(rec, now, retract_ready=False)
+            if emit is not None:
+                emit(JobRejected(now, rec.jid, rec.tenant, rec.qos, decision.reason))
+            return True
+        for jid in decision.evict_jids:
+            victim = self._records[jid]
+            n_gone = self._cancel(victim, now, retract_ready=True)
+            if emit is not None:
+                emit(JobEvicted(now, jid, victim.tenant, victim.qos, n_gone))
+        if emit is not None:
+            emit(JobAdmitted(
+                now, rec.jid, rec.tenant, rec.qos, decision.cost_us, decision.attempt
+            ))
+        return True
+
+    def _cancel(self, rec: JobRecord, now: float, *, retract_ready: bool) -> int:
+        """Cancel a job's unstarted tasks; returns how many went."""
+        victims = self.ops.cancel(rec.first_tid, rec.n_tasks, retract_ready)
+        for t in victims:
+            self.on_task_cancelled(t.tid, now)
+        return len(victims)
+
+    def finalize(self, makespan: float, death_us: Mapping[int, float]) -> "ControlPlane":
+        """This plane, finished; the run's operations and emitter are
+        dropped so the result pickles."""
+        self.ops = self.emit = None
+        return self
 
     # -- the decision ------------------------------------------------------
 
@@ -257,10 +311,6 @@ class ControlPlane:
         self.inflight_us += rec.cost_us
 
     def _shed(self, rec: JobRecord, now: float, reason: str) -> None:
-        if rec.qos == "guaranteed":  # structurally unreachable; audited anyway
-            self._violations.append(
-                f"guaranteed job j{rec.jid} ({rec.tenant}) was shed ({reason})"
-            )
         rec.status = "shed"
         rec.settled_us = now
         rec.shed_reason = (
@@ -301,9 +351,7 @@ class ControlPlane:
 
     def on_task_done(self, tid: int, now: float) -> None:
         """A task of a controlled job completed."""
-        rec = self._rec_of_tid.get(tid)
-        if rec is None:
-            return
+        rec = self._rec_of_tid[tid]
         rec.n_left -= 1
         if rec.status == "admitted":
             cost = self._cost_of_tid[tid]
@@ -317,9 +365,7 @@ class ControlPlane:
 
     def on_task_cancelled(self, tid: int, now: float) -> None:
         """A task of a controlled job was cancelled (shed or evicted)."""
-        rec = self._rec_of_tid.get(tid)
-        if rec is None:
-            return
+        rec = self._rec_of_tid[tid]
         rec.n_left -= 1
         rec.n_cancelled += 1
 
@@ -347,8 +393,9 @@ class ControlPlane:
             "pending": by_status.get("pending", 0),
         }
 
-    def audit(self) -> list[str]:
-        """Credit-conservation invariants, re-derived from scratch.
+    def audit(self, now: float) -> list[tuple[str, str]]:
+        """``control`` violations: the credit-conservation invariants,
+        re-derived from scratch.
 
         * every decided job is admitted, shed, or pending another delay
           (``arrived == admitted + rejected + delayed``);
@@ -358,7 +405,7 @@ class ControlPlane:
         * no guaranteed job was ever shed;
         * no token bucket exceeds its burst capacity.
         """
-        out = list(self._violations)
+        out = []
         n_seen = n_admitted = n_shed = n_pending = 0
         inflight = 0.0
         for rec in self._records.values():
@@ -423,7 +470,7 @@ class ControlPlane:
                     f"guaranteed-class overdraft ({g_work:.1f}us) explains"
                 )
         out.extend(self.accountant.audit())
-        return out
+        return [("control", detail) for detail in out]
 
 
 def default_overload_config(

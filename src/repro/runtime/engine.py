@@ -33,11 +33,7 @@ import numpy as np
 from repro.obs.bus import Observability
 from repro.obs.events import (
     BatchScheduled,
-    JobAdmitted,
-    JobDelayed,
     JobDone,
-    JobEvicted,
-    JobRejected,
     JobSubmit,
     RecordLevel,
     TaskEnd,
@@ -73,7 +69,7 @@ from repro.utils.validation import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.control.plane import ControlPlane
+    from repro.control.plane import ControlConfig
     from repro.runtime.perfmodel import PerfModel
     from repro.schedulers.base import Scheduler
 
@@ -263,6 +259,9 @@ class SimResult:
     death_us_by_worker: dict[int, float] = field(default_factory=dict)
     #: Energy accounting; ``None`` unless a power model was attached.
     energy: EnergyReport | None = None
+    #: The finished admission control plane (:mod:`repro.control`: job
+    #: records and counters); ``None`` unless a control config was attached.
+    control: object | None = None
 
     @property
     def gflops(self) -> float:
@@ -276,11 +275,11 @@ class Simulator:
     """Runs a :class:`Program` on a :class:`Platform` under a scheduler.
 
     :meth:`run` is a core event loop plus per-run *hooks*: the
-    ``overhead``, ``resources`` and ``power`` ledgers and the
-    ``fault_model``'s :class:`~repro.runtime.faults.FaultInjector`,
-    reached only through per-point hook tuples and a ``handlers`` map of
-    the event kinds a hook owns. Without them every tuple is empty
-    (``DESIGN.md`` §4).
+    ``overhead``, ``resources`` and ``power`` ledgers, the
+    ``fault_model``'s :class:`~repro.runtime.faults.FaultInjector` and
+    the ``control`` config's admission plane, reached only through
+    per-point hook tuples and a ``handlers`` map of the event kinds a
+    hook owns. Without them every tuple is empty (``DESIGN.md`` §4).
 
     Parameters
     ----------
@@ -328,12 +327,13 @@ class Simulator:
         ``None`` (default) defers to the ``REPRO_CHECK_INVARIANTS``
         environment variable; when off, the engine performs exactly one
         extra local-variable test per event and stays bit-identical.
-    control_plane:
-        Optional admission controller (:class:`repro.control.ControlPlane`).
-        Requires a merged job-stream program: the reveal loop asks it to
-        accept, delay, or shed each job at its release time, and evicts
-        admitted best-effort jobs' unstarted tasks when it says so.
-        ``None`` (default) keeps the uncontrolled fast path.
+    control:
+        Optional :class:`~repro.control.ControlConfig` attaching the
+        admission control plane, the last run hook. Requires a merged
+        job-stream program: the plane accepts, delays or sheds each job
+        as it is revealed and evicts best-effort jobs for guaranteed
+        ones; it lands on ``SimResult.control``. ``None`` (default)
+        keeps the uncontrolled fast path.
     batch_step:
         Batch-mode scheduling (Firmament-style): instead of one
         ``scheduler.push()`` per ready task, reveals buffer and are
@@ -392,7 +392,7 @@ class Simulator:
         fault_model: FaultModel | None = None,
         record_level: RecordLevel | str | int = RecordLevel.OFF,
         check_invariants: bool | None = None,
-        control_plane: "ControlPlane | None" = None,
+        control: "ControlConfig | None" = None,
         batch_step: float | None = None,
         batch_drain_on_idle: bool = True,
         overhead: SchedOverheadModel | None = None,
@@ -414,7 +414,7 @@ class Simulator:
         self.pipeline = pipeline
         self.submission_window = submission_window
         self.fault_model = fault_model
-        self.control_plane = control_plane
+        self.control = control
         self.batch_step = batch_step
         self.batch_drain_on_idle = batch_drain_on_idle
         self.overhead = overhead
@@ -500,13 +500,14 @@ class Simulator:
         # point, all empty on the classic (bit-identical) path.
         hooks = self._run_hooks(program, emit)
         (
-            begin_hooks, push_hooks, pop_hooks, flush_hooks, gate_hooks,
-            book_hooks, attempt_hooks, charge_hooks, stats_hooks,
+            begin_hooks, reveal_hooks, push_hooks, pop_hooks, flush_hooks,
+            gate_hooks, book_hooks, attempt_hooks, charge_hooks, done_hooks,
+            stats_hooks,
         ) = (
             tuple(getattr(h, point) for h in hooks if hasattr(h, point))
             for point in (
-                "begin", "push", "pop", "flush", "gate", "book", "attempt",
-                "charge", "stats",
+                "begin", "reveal", "push", "pop", "flush", "gate", "book",
+                "attempt", "charge", "on_task_done", "stats",
             )
         )
         # Event kinds the hooks own, dispatched past the core kinds.
@@ -576,26 +577,6 @@ class Simulator:
         n_cxl_rev = 0  # cancelled tasks the reveal pointer has passed
 
         jobs = getattr(program, "jobs", None)
-        control = self.control_plane
-        span_at_tid: dict[int, object] = {}
-        span_by_jid: dict[int, object] = {}
-        if control is not None:
-            if not jobs:
-                raise SchedulingError(
-                    "a control plane needs a merged job-stream program "
-                    "(merge_stream output with job spans); got a plain Program"
-                )
-            # Delay decisions rewrite release times, so the engine works
-            # on a mutable copy; the program's own validated list stays
-            # untouched for the next run.
-            releases = (
-                list(releases) if releases is not None else [0.0] * n_total
-            )
-            for span in jobs:
-                span_at_tid[span.first_tid] = span
-                span_by_jid[span.jid] = span
-            control.begin_run(program, self.perfmodel, ctx.available_archs)
-
         job_track: dict[int, list] | None = None
         if emit is not None and jobs:
             # tid -> [span, n_unfinished] shared per job, for JobSubmit
@@ -626,19 +607,14 @@ class Simulator:
                     heapq.heappush(events, (now, seq, WORKER_REQUEST, worker))
                     seq += 1
 
-        def cancel_job_tasks(span, *, retract_ready: bool) -> int:
-            """Cancel a controlled job's not-yet-started tasks.
-
-            SUBMITTED tasks always cancel; READY tasks only when the
-            scheduler agrees to retract them (eviction path) — RUNNING
-            and staged work is left to drain. Cancellation releases
-            successors exactly like completion does, so cross-job
-            ``after`` chains keep making progress past a shed job.
-            Returns the number of tasks cancelled.
-            """
+        def cancel(first_tid: int, n_tasks: int, retract_ready: bool) -> list[Task]:
+            """Cancel and return the job's unstarted tasks: all SUBMITTED
+            ones, READY ones the scheduler retracts if ``retract_ready``.
+            Like completion, it releases successors, so cross-job
+            ``after`` chains progress past a shed job."""
             nonlocal n_cancelled, n_cxl_rev
             victims: list[Task] = []
-            for tid in range(span.first_tid, span.first_tid + span.n_tasks):
+            for tid in range(first_tid, first_tid + n_tasks):
                 t = program.tasks[tid]
                 if t.state is TaskState.SUBMITTED:
                     victims.append(t)
@@ -659,7 +635,6 @@ class Simulator:
             for t in victims:
                 if t.tid < revealed:
                     n_cxl_rev += 1
-                control.on_task_cancelled(t.tid, ctx.now)
                 for succ in t.succs:
                     if succ.state is TaskState.CANCELLED:
                         continue
@@ -674,7 +649,12 @@ class Simulator:
             n_cancelled += len(victims)
             if released:
                 wake_workers(ctx.now)
-            return len(victims)
+            return victims
+
+        def delay(first_tid: int, n_tasks: int, until: float) -> None:
+            """Hold a job's tasks back until ``until``, and wake the loop then."""
+            releases[first_tid:first_tid + n_tasks] = [until] * n_tasks
+            post(until, JOB_ARRIVAL, None)
 
         def advance_submission() -> None:
             nonlocal revealed, n_cxl_rev
@@ -690,44 +670,13 @@ class Simulator:
                     revealed += 1
                     n_cxl_rev += 1
                     continue
-                if control is not None:
-                    span = span_at_tid.get(revealed)
-                    if span is not None:
-                        decision = control.decide(span.jid, ctx.now)
-                        if decision.action == "delay":
-                            retry_at = decision.retry_at_us
-                            for i in range(
-                                span.first_tid, span.first_tid + span.n_tasks
-                            ):
-                                releases[i] = retry_at
-                            post(retry_at, JOB_ARRIVAL, None)
-                            if emit is not None:
-                                emit(JobDelayed(
-                                    ctx.now, span.jid, span.tenant, span.qos,
-                                    retry_at, decision.attempt, decision.reason,
-                                ))
-                            break
-                        if decision.action == "shed":
-                            cancel_job_tasks(span, retract_ready=False)
-                            if emit is not None:
-                                emit(JobRejected(
-                                    ctx.now, span.jid, span.tenant, span.qos,
-                                    decision.reason,
-                                ))
-                            continue  # the skip branch advances past it
-                        for evict_jid in decision.evict_jids:
-                            espan = span_by_jid[evict_jid]
-                            n_gone = cancel_job_tasks(espan, retract_ready=True)
-                            if emit is not None:
-                                emit(JobEvicted(
-                                    ctx.now, espan.jid, espan.tenant,
-                                    espan.qos, n_gone,
-                                ))
-                        if emit is not None:
-                            emit(JobAdmitted(
-                                ctx.now, span.jid, span.tenant, span.qos,
-                                decision.cost_us, decision.attempt,
-                            ))
+                # A reveal hook may hold the loop back (False) or shed
+                # the task's job, which the branch above then skips.
+                for reveal in reveal_hooks:
+                    if not reveal(task, ctx.now):
+                        return
+                if task.state is TaskState.CANCELLED:
+                    continue
                 revealed += 1
                 if emit is not None:
                     if job_track is not None:
@@ -755,15 +704,16 @@ class Simulator:
             staged[worker.wid] = None
             return None if entry is None else entry[0]
 
-        # Hooks that own event kinds get the run's core operations once;
-        # the fault hook posts its worker deaths here, ahead of the
-        # release wake-ups in seq order.
+        # Hooks get the run's core operations once (the fault hook posts
+        # its worker deaths here, ahead of the release wake-ups in seq order).
         ops = RunOps(
-            post, end_attempt, unstage, push_ready, schedule_request, wake_workers
+            post, end_attempt, unstage, push_ready, schedule_request,
+            wake_workers, cancel, delay,
         )
         for begin in begin_hooks:
             begin(ops)
         if releases is not None:
+            releases = list(releases)  # a delay rewrites the run's copy
             # One wake-up per distinct future arrival time: the STF main
             # thread resumes submitting exactly when the next job lands.
             for arrival_time in sorted({t for t in releases if t > 0.0}):
@@ -892,7 +842,6 @@ class Simulator:
                 events=events,
                 window=window,
                 releases=releases,
-                control=control,
                 batch_pending=pending if batching else None,
                 batch_drain=batch_drain,
                 hooks=hooks,
@@ -975,8 +924,8 @@ class Simulator:
                     transfers.invalidate_others(handle, node, now)
                     handle._in_flight[node] = now
                 scheduler.on_task_done(task, worker)
-                if control is not None:
-                    control.on_task_done(task.tid, now)
+                for done in done_hooks:
+                    done(task.tid, now)
                 released = 0
                 for succ in task.succs:
                     if succ.state is TaskState.CANCELLED:
@@ -1083,7 +1032,7 @@ class Simulator:
                 for w in self.platform.workers_of_arch(arch)
             ]
             idle_by_arch[arch] = sum(fracs) / len(fracs) if fracs else 0.0
-        # The SimResult fields hooks fill (energy, faults).
+        # The SimResult fields hooks fill (energy, faults, control).
         fields = {
             h.result_field: h.finalize(makespan, death_us)
             for h in hooks if hasattr(h, "finalize")
@@ -1122,7 +1071,7 @@ class Simulator:
 
     def _run_hooks(self, program: Program, emit) -> tuple:
         """This run's hooks, in hook order: overhead, resources, power,
-        faults."""
+        faults, control."""
         hooks: list = []
         if self.overhead is not None:
             hooks.append(OverheadLedger(self.overhead))
@@ -1133,6 +1082,10 @@ class Simulator:
         if self.fault_model is not None:
             hooks.append(FaultInjector(
                 self.fault_model, program, self.scheduler, self.ctx, emit
+            ))
+        if self.control is not None:
+            hooks.append(self.control.plane(
+                program, self.perfmodel, self.ctx.available_archs, emit
             ))
         return tuple(hooks)
 

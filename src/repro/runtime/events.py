@@ -10,7 +10,8 @@ handles the core kinds:
   (StarPU's POP hook); payload ``worker``.
 * ``JOB_ARRIVAL`` — a job of a merged stream reaches its release time
   and the STF "main thread" resumes submitting; payload ``None`` (the
-  engine re-runs its submission loop against the clock).
+  engine re-runs its submission loop against the clock). Also posted
+  by :class:`RunOps` ``delay`` at a delayed job's retry time.
 * ``BATCH_FLUSH`` — batch-mode scheduling only: the configured
   ``batch_step`` elapsed since ready tasks started buffering, so the
   engine hands the whole batch to the scheduler; payload ``None``.
@@ -26,8 +27,8 @@ other three; the loop dispatches them through its ``handlers`` map:
 * ``TASK_RETRY`` — a previously-failed task's virtual-time backoff
   expires and it re-enters the scheduler; payload ``task``.
 
-A hook that owns event kinds reaches the run only through the
-:class:`RunOps` its ``begin`` receives.
+A hook reaches the run's core state only through the :class:`RunOps`
+its ``begin`` receives.
 """
 
 from __future__ import annotations
@@ -44,15 +45,18 @@ BATCH_FLUSH = 6
 
 
 class RunOps(NamedTuple):
-    """The core operations of one run, handed once to a hook that owns
-    event kinds. ``post(time, kind, payload)`` queues an event;
+    """The core operations of one run, handed once to every hook with a
+    ``begin`` point. ``post(time, kind, payload)`` queues an event;
     ``end_attempt(worker, now) -> (task, busy)`` charges the worker's
     running attempt up to ``now`` and frees the worker (``(None, 0.0)``
     when it runs nothing); ``unstage(worker)`` takes back its staged
     lookahead task, or ``None``; ``push_ready(task)`` releases a task to
     the scheduler (or the batch); ``request(worker, now)`` and
     ``wake(now)`` have one worker, or every live worker that could use
-    work, ask for it."""
+    work, ask for it. ``cancel(first_tid, n_tasks, retract_ready) ->
+    victims`` cancels a job's unstarted tasks and releases their
+    successors; ``delay(first_tid, n_tasks, until)`` moves its release
+    times to ``until`` and posts a ``JOB_ARRIVAL`` then."""
 
     post: Callable
     end_attempt: Callable
@@ -60,3 +64,5 @@ class RunOps(NamedTuple):
     push_ready: Callable
     request: Callable
     wake: Callable
+    cancel: Callable
+    delay: Callable

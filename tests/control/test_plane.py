@@ -1,28 +1,48 @@
 """Unit tests of the admission controller (repro.control.plane)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.control.plane import (
     ControlConfig,
     ControlPlane,
-    JobRecord,
     default_overload_config,
 )
 from repro.control.quota import TenantQuota
 from repro.utils.validation import ValidationError
+from repro.workload.merge import JobSpan
 
 
-def seed_jobs(plane: ControlPlane, specs) -> None:
-    """Inject job records directly: specs = [(jid, tenant, qos, cost_us)].
+class _Task:
+    """A one-task job's task: executable anywhere, costing ``cost_us``."""
 
-    Each job gets one task whose tid equals its jid, costing the full
-    job estimate — the unit-level stand-in for begin_run()'s sweep.
-    """
-    for jid, tenant, qos, cost in specs:
-        rec = JobRecord(jid, f"j{jid}", tenant, qos, 0.0, 1, cost)
-        plane._records[jid] = rec
-        plane._rec_of_tid[jid] = rec
-        plane._cost_of_tid[jid] = cost
+    def __init__(self, cost_us: float) -> None:
+        self.cost_us = cost_us
+
+    def can_exec(self, arch: str) -> bool:
+        return True
+
+
+class _Model:
+    """A perf model whose estimate is the task's own cost."""
+
+    @staticmethod
+    def estimate(task: _Task, arch: str) -> float:
+        return task.cost_us
+
+
+def make_plane(config: ControlConfig, specs) -> ControlPlane:
+    """A plane over one single-task job per spec [(jid, tenant, qos,
+    cost_us)], jids dense from 0 and each job's tid equal to its jid."""
+    program = SimpleNamespace(
+        jobs=[
+            JobSpan(jid, f"j{jid}", tenant, 0.0, jid, 1, qos)
+            for jid, tenant, qos, _ in specs
+        ],
+        tasks=[_Task(cost) for *_, cost in specs],
+    )
+    return config.plane(program, _Model(), ("cpu",))
 
 
 class TestControlConfig:
@@ -58,17 +78,21 @@ class TestControlConfig:
 
 class TestDecide:
     def test_unlimited_accepts_everything(self):
-        plane = ControlPlane(ControlConfig.unlimited())
-        seed_jobs(plane, [(0, "t", "best-effort", 1e9), (1, "t", "burstable", 1e9)])
+        plane = make_plane(ControlConfig.unlimited(), [
+            (0, "t", "best-effort", 1e9),
+            (1, "t", "burstable", 1e9),
+        ])
         for jid in (0, 1):
             d = plane.decide(jid, now=0.0)
             assert d.action == "accept" and d.evict_jids == ()
-        assert plane.audit() == []
+        assert plane.audit(0.0) == []
 
     def test_quota_exhaustion_sheds_best_effort(self):
         cfg = ControlConfig(default_quota=TenantQuota(rate=0.0, burst=1e-4))
-        plane = ControlPlane(cfg)
-        seed_jobs(plane, [(0, "t", "best-effort", 90.0), (1, "t", "best-effort", 90.0)])
+        plane = make_plane(cfg, [
+            (0, "t", "best-effort", 90.0),
+            (1, "t", "best-effort", 90.0),
+        ])
         assert plane.decide(0, now=0.0).action == "accept"
         d = plane.decide(1, now=0.0)
         assert d.action == "shed" and d.reason == "quota"
@@ -80,8 +104,7 @@ class TestDecide:
             backoff_us=100.0, backoff_factor=2.0, max_backoff_us=300.0,
             max_delays=3,
         )
-        plane = ControlPlane(cfg)
-        seed_jobs(plane, [(0, "t", "burstable", 50.0)])
+        plane = make_plane(cfg, [(0, "t", "burstable", 50.0)])
         retries = []
         now = 0.0
         for _ in range(3):
@@ -99,8 +122,10 @@ class TestDecide:
             default_quota=TenantQuota(rate=0.0, burst=1e-5),
             max_inflight_us=10.0,
         )
-        plane = ControlPlane(cfg)
-        seed_jobs(plane, [(0, "t", "guaranteed", 500.0), (1, "t", "guaranteed", 500.0)])
+        plane = make_plane(cfg, [
+            (0, "t", "guaranteed", 500.0),
+            (1, "t", "guaranteed", 500.0),
+        ])
         assert plane.decide(0, now=0.0).action == "accept"
         assert plane.decide(1, now=0.0).action == "accept"
         # Overdraft: the bucket went deeply negative but nothing was shed.
@@ -109,16 +134,17 @@ class TestDecide:
 
     def test_global_budget_sheds_when_full(self):
         cfg = ControlConfig(max_inflight_us=100.0, evict_on_overload=False)
-        plane = ControlPlane(cfg)
-        seed_jobs(plane, [(0, "t", "best-effort", 80.0), (1, "u", "best-effort", 80.0)])
+        plane = make_plane(cfg, [
+            (0, "t", "best-effort", 80.0),
+            (1, "u", "best-effort", 80.0),
+        ])
         assert plane.decide(0, now=0.0).action == "accept"
         d = plane.decide(1, now=0.0)
         assert d.action == "shed" and d.reason == "budget"
 
     def test_guaranteed_evicts_newest_best_effort_first(self):
         cfg = ControlConfig(max_inflight_us=100.0)
-        plane = ControlPlane(cfg)
-        seed_jobs(plane, [
+        plane = make_plane(cfg, [
             (0, "a", "best-effort", 40.0),
             (1, "b", "best-effort", 40.0),
             (2, "c", "guaranteed", 60.0),
@@ -130,12 +156,11 @@ class TestDecide:
         assert d.evict_jids == (1,)  # newest admission evicted first
         assert plane._records[1].status == "evicted"
         assert plane._records[0].status == "admitted"
-        assert plane.audit() == []
+        assert plane.audit(0.0) == []
 
     def test_burstable_never_evicted_for_headroom(self):
         cfg = ControlConfig(max_inflight_us=100.0)
-        plane = ControlPlane(cfg)
-        seed_jobs(plane, [
+        plane = make_plane(cfg, [
             (0, "a", "burstable", 90.0),
             (1, "b", "guaranteed", 60.0),
         ])
@@ -149,19 +174,20 @@ class TestDecide:
 class TestSettlement:
     def test_task_completion_returns_budget(self):
         cfg = ControlConfig(max_inflight_us=100.0)
-        plane = ControlPlane(cfg)
-        seed_jobs(plane, [(0, "t", "best-effort", 80.0), (1, "t", "best-effort", 80.0)])
+        plane = make_plane(cfg, [
+            (0, "t", "best-effort", 80.0),
+            (1, "t", "best-effort", 80.0),
+        ])
         assert plane.decide(0, now=0.0).action == "accept"
         plane.on_task_done(0, now=5.0)
         assert plane._records[0].status == "done"
         assert plane.inflight_us == pytest.approx(0.0)
         # Budget freed: the next job fits again.
         assert plane.decide(1, now=6.0).action == "accept"
-        assert plane.audit() == []
+        assert plane.audit(0.0) == []
 
     def test_cancelled_tasks_counted(self):
-        plane = ControlPlane(ControlConfig())
-        seed_jobs(plane, [(0, "t", "best-effort", 10.0)])
+        plane = make_plane(ControlConfig(), [(0, "t", "best-effort", 10.0)])
         plane.decide(0, now=0.0)
         plane.on_task_cancelled(0, now=1.0)
         rec = plane._records[0]
@@ -171,8 +197,10 @@ class TestSettlement:
         cfg = ControlConfig(
             default_quota=TenantQuota(rate=0.0, burst=1e-5), max_delays=0
         )
-        plane = ControlPlane(cfg)
-        seed_jobs(plane, [(0, "t", "burstable", 50.0), (1, "t", "guaranteed", 50.0)])
+        plane = make_plane(cfg, [
+            (0, "t", "burstable", 50.0),
+            (1, "t", "guaranteed", 50.0),
+        ])
         plane.decide(0, now=0.0)  # shed (max_delays=0)
         plane.decide(1, now=0.0)  # accept
         c = plane.counters()
@@ -181,31 +209,27 @@ class TestSettlement:
 
 class TestAudit:
     def test_clean_plane_audits_clean(self):
-        plane = ControlPlane(ControlConfig())
-        seed_jobs(plane, [(0, "t", "burstable", 10.0)])
+        plane = make_plane(ControlConfig(), [(0, "t", "burstable", 10.0)])
         plane.decide(0, now=0.0)
-        assert plane.audit() == []
+        assert plane.audit(0.0) == []
 
     def test_guaranteed_shed_is_flagged(self):
-        plane = ControlPlane(ControlConfig())
-        seed_jobs(plane, [(0, "t", "guaranteed", 10.0)])
+        plane = make_plane(ControlConfig(), [(0, "t", "guaranteed", 10.0)])
         rec = plane._records[0]
         rec.first_decided_us = 0.0
         plane.n_arrived = 1
         rec.status = "shed"  # corrupt on purpose: policy can't produce this
-        assert any("guaranteed" in v for v in plane.audit())
+        assert any("guaranteed" in d for _, d in plane.audit(0.0))
 
     def test_inflight_gauge_divergence_flagged(self):
-        plane = ControlPlane(ControlConfig())
-        seed_jobs(plane, [(0, "t", "burstable", 10.0)])
+        plane = make_plane(ControlConfig(), [(0, "t", "burstable", 10.0)])
         plane.decide(0, now=0.0)
         plane.inflight_us += 5.0  # corrupt on purpose
-        assert any("in-flight gauge" in v for v in plane.audit())
+        assert any("in-flight gauge" in d for _, d in plane.audit(0.0))
 
     def test_decision_leak_flagged(self):
-        plane = ControlPlane(ControlConfig())
-        seed_jobs(plane, [(0, "t", "burstable", 10.0)])
+        plane = make_plane(ControlConfig(), [(0, "t", "burstable", 10.0)])
         rec = plane._records[0]
         rec.first_decided_us = 0.0  # decided but no delay/admit/shed recorded
         plane.n_arrived = 1
-        assert any("leaked" in v for v in plane.audit())
+        assert any("leaked" in d for _, d in plane.audit(0.0))

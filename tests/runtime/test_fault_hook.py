@@ -22,7 +22,7 @@ import itertools
 import pytest
 
 from repro.check.differential import fingerprint
-from repro.control.plane import ControlPlane, default_overload_config
+from repro.control.plane import default_overload_config
 from repro.experiments.overload import (
     estimate_job_cost_us,
     overload_workload,
@@ -61,12 +61,12 @@ def run(scheduler, fault_model, *, batch=None, window=None, checker=False):
     machine = MACHINES[MACHINE]()
     platform = machine.platform()
     n_workers = len(platform.workers)
-    plane = ControlPlane(default_overload_config(
+    control = default_overload_config(
         tenants=stream.tenants,
         sustainable_work_per_s=float(n_workers),
         job_cost_us=job_cost,
         max_inflight_jobs=2.0 * n_workers,
-    ))
+    )
     program = merge_stream(stream)
     sim = Simulator(
         platform,
@@ -77,11 +77,12 @@ def run(scheduler, fault_model, *, batch=None, window=None, checker=False):
         fault_model=fault_model,
         record_level="tasks",
         check_invariants=checker,
-        control_plane=plane,
+        control=control,
         batch_step=None if batch is None else 200.0,
         batch_drain_on_idle=True if batch is None else batch,
     )
-    return sim.run(program), program, plane
+    res = sim.run(program)
+    return res, program, res.control
 
 
 def faulty(kill: bool) -> FaultModel:
