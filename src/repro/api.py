@@ -225,11 +225,6 @@ class SimSpec:
 
     def run(self, program: Program) -> SimResult:
         """Simulate one task graph; returns the engine's result."""
-        if self.control is not None:
-            raise ValidationError(
-                "control planes act on job streams; use run_stream() (or "
-                "run_cluster()), or clear SimSpec.control for a plain run"
-            )
         return self.simulator().run(program)
 
     def run_stream(self, stream: "JobStream") -> "StreamResult":

@@ -6,32 +6,46 @@ at the top of the event loop — i.e. after every fully-processed event,
 with the queue intact — plus once more after the loop drains. Each call
 checks the ten invariant families below against the whole runtime state.
 
+Its cost follows what each event touched. For the length of a checked
+run, :meth:`InvariantChecker.begin_run` swaps the class of every task and
+every data handle of the program for a slot-compatible subclass
+(``__slots__ = ()``, built per run) whose properties store through the
+base class's slot descriptors and log the object's id: a task's tid on a
+write of ``state`` or ``n_unfinished_preds``; a handle's hid on a write
+of ``valid_nodes``, ``_pins``, ``_in_flight``, ``size`` or
+``home_node``, and on a *read* of the three mutable containers too,
+since those are mutated in place. :meth:`InvariantChecker.end_run`
+restores the plain classes whether the run ended normally or by raising.
+Unchecked runs never see these classes. On a 2-vCPU VM a logged write
+costs about 130-175 ns and any other read through the barrier about
+45 ns, against about 10 ns for a plain slot.
+
 The three task families (``window``, ``conservation``, ``task_state``)
-are exact but incremental. Each call takes two C-speed snapshots, every
-task's state and every task's dependency counter, and diffs the state
-snapshot against the previous one. Only the tasks that moved update the
-checker's own derived state: the expected dependency counter of every
-task, the DONE count, the RUNNING and READY tid sets, the set of
-SUBMITTED tasks whose expected counter is 0, and the count of cancelled
-tasks the reveal pointer has passed. Every task is still checked on
-every call: the expected counters are compared with the counter
-snapshot in one list comparison, so drift on a task no event touched is
-caught at the next call. A call therefore costs O(tasks) C work per
-moved task plus Python work proportional to the moved tasks, their
-successors and the workers, instead of a Python walk over every task
-and its predecessors.
+are exact but incremental. Each call drains the task log and diffs only
+the logged tasks against the checker's own mirrors of every task's state
+(a ``bytearray``) and dependency counter. Only the tasks that moved
+update the checker's derived state: the expected dependency counter of
+every task, the set of tasks whose counter disagrees with it, the DONE
+count, the RUNNING and READY tid sets, the set of SUBMITTED tasks whose
+expected counter is 0, and the count of cancelled tasks the reveal
+pointer has passed. Every write goes through the barrier, so a task the
+log does not name still equals its mirror: drift on a task no event
+touched (a counter written from outside the engine, say) is in the log
+and caught at the next call. The moves, the violations and their order
+are those of a full snapshot diff.
 
 The ``msi`` family is exact but incremental the same way. It keeps a
 copy of each data handle's state as last checked (replica set, pins,
 in-flight transfers, size, home node) and that check's violations, and
-per bounded node a copy of its resident set and usage. Each call finds
-the handles that differ from their copy in one C-level pass per field,
-adds those whose expected pins, COMMUTE membership or residency changed
-(every handle when the replica-loss exemption flips), and checks only
-these again; the cached verdicts of the rest are reported unchanged. A
-bounded node's residency is re-walked only when it or one of its
-resident handles changed, or when it was in violation. Drift on a
-handle no event touched is still caught at the next call.
+per bounded node a copy of its resident set and usage. Each call
+compares only the logged handles with their copies, adds those whose
+expected pins, COMMUTE membership or residency changed (every handle
+when the replica-loss exemption flips), and checks only these again; the
+cached verdicts of the rest are reported unchanged. A bounded node's
+residency is re-walked only when it or one of its resident handles
+changed, or when it was in violation. Outside a run (no barrier
+installed) both the task and the handle families treat everything as
+touched, so a checker driven by hand stays exact.
 ``scheduler`` is the policy's own audit and sweeps its whole state.
 The ``rt`` and ``energy`` families are the run hooks' own audits
 (``audit(now)`` on each ledger); the resource grant log is consumed
@@ -103,14 +117,15 @@ unchecked one.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import ne
+from heapq import heappop, heappush
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.control.plane import ControlPlane
 from repro.obs.events import InvariantViolation
 from repro.runtime.events import BATCH_FLUSH, TASK_RETRY
 from repro.runtime.faults import FaultInjector
+from repro.runtime.data import DataHandle
 from repro.runtime.task import AccessMode, Task, TaskState
 from repro.utils.validation import InvariantError
 
@@ -139,27 +154,53 @@ _FAULT_ONLY = {(_RUNNING, _S), (_READY, _S), (_RUNNING, _READY)}
 #: cancel from SUBMITTED, evicted-and-retracted tasks from READY).
 _CONTROL_ONLY = {(_S, _CXL), (_READY, _CXL)}
 
-#: TaskState by value, to read a byte of the state snapshot back.
+#: TaskState by value, to read a byte of the state mirror back.
 _STATES = tuple(TaskState)
 #: States that no longer hold their successors back.
 _FINISHED = (_DONE, _CXL)
 
 
-def _moved_tids(states: bytes, prev: bytes) -> list[int]:
-    """Ascending indices where two equal-length state snapshots differ.
+#: Task fields whose writes the barrier logs.
+_TASK_FIELDS = ("state", "n_unfinished_preds")
+#: Handle fields whose writes the barrier logs; reads of the mutable
+#: containers among them are logged too (they are mutated in place).
+_HANDLE_FIELDS = ("valid_nodes", "_pins", "_in_flight", "size", "home_node")
+_HANDLE_CONTAINERS = ("valid_nodes", "_pins", "_in_flight")
+#: The checker's own reads of handle containers: straight from the slots,
+#: so they neither mark a handle touched nor pay for the barrier.
+_valid_of = DataHandle.valid_nodes.__get__
+_pins_of = DataHandle._pins.__get__
+_flight_of = DataHandle._in_flight.__get__
 
-    Read as integers, the XOR of the snapshots is nonzero exactly in the
-    moved tasks' bytes. Each move is peeled off its top in O(n) C work;
-    an event moves a few tasks (a cancelled job all of its tasks).
+
+def _barrier_class(base: type, slots: type, fields, containers, log: list) -> type:
+    """A slot-compatible subclass of ``base`` that logs its instances.
+
+    Each of ``fields`` (slots of ``slots``) becomes a property that
+    stores through the slot descriptor and appends the object to
+    ``log``; reading one of ``containers`` appends it too. Other reads
+    go through a C-level getter on an alias of the slot descriptor.
     """
-    diff = int.from_bytes(states, "little") ^ int.from_bytes(prev, "little")
-    tids = []
-    while diff:
-        tid = (diff.bit_length() - 1) >> 3
-        tids.append(tid)
-        diff &= (1 << (tid << 3)) - 1
-    tids.reverse()
-    return tids
+    append = log.append
+    namespace: dict = {"__slots__": ()}
+    for name in fields:
+        slot = getattr(slots, name)
+        alias = f"_slot_{name}"
+        namespace[alias] = slot
+        get = attrgetter(alias)
+
+        def write(obj, value, _set=slot.__set__):
+            _set(obj, value)
+            append(obj)
+
+        if name in containers:
+            def read(obj, _get=get):
+                append(obj)
+                return _get(obj)
+        else:
+            read = get
+        namespace[name] = property(read, write)
+    return type(f"Observed{base.__name__}", (base,), namespace)
 
 
 class InvariantChecker:
@@ -167,14 +208,21 @@ class InvariantChecker:
 
     The engine calls :meth:`begin_run` once (binding live references to
     its loop-local structures — the dicts and the event heap are mutated
-    in place, so the references stay current) and then :meth:`validate`
-    once per event. ``n_checks`` counts validations for reporting.
+    in place, so the references stay current), then :meth:`validate`
+    once per event, and :meth:`end_run` when the run ends, however it
+    ends. ``n_checks`` counts validations for reporting.
     """
 
     def __init__(self, obs: "Observability | None" = None) -> None:
         self.obs = obs
         self.n_checks = 0
         self.control = None
+        # The barrier's logs of touched tasks and handles; None while no
+        # barrier is installed, which makes every object count as touched.
+        self._task_log: list | None = None
+        self._handle_log: list | None = None
+        # Barrier class -> the plain class it replaced.
+        self._plain_of: dict[type, type] = {}
 
     def begin_run(
         self,
@@ -221,6 +269,7 @@ class InvariantChecker:
         self._node_of_wid = {w.wid: w.memory_node for w in platform.workers}
         self._node_ids = {n.mid for n in platform.nodes}
         self._last_now = 0.0
+        self._observe()
         self._init_tasks()
         self._init_msi()
         # Per-link monotonicity floor: (busy, demand, bytes, transfers).
@@ -248,6 +297,43 @@ class InvariantChecker:
                         ))
         if violations:
             self._report(violations)
+
+    def _observe(self) -> None:
+        """Install the write barrier: give every task and handle of the
+        program its class's barrier subclass, logging into this checker."""
+        self._task_log = []
+        self._handle_log = []
+        plain_of = self._plain_of
+        observed: dict[type, type] = {}
+        for objs, slots, fields, containers, log in (
+            (self.program.tasks, Task, _TASK_FIELDS, (), self._task_log),
+            (self.program.handles, DataHandle, _HANDLE_FIELDS,
+             _HANDLE_CONTAINERS, self._handle_log),
+        ):
+            for obj in objs:
+                cls = type(obj)
+                barrier = observed.get(cls)
+                if barrier is None:
+                    if cls in plain_of:  # listed twice, already swapped
+                        continue
+                    barrier = observed[cls] = _barrier_class(
+                        cls, slots, fields, containers, log
+                    )
+                    plain_of[barrier] = cls
+                obj.__class__ = barrier
+
+    def end_run(self) -> None:
+        """Remove the write barrier: every task and handle gets its plain
+        class back. Safe to call more than once, or without a run."""
+        plain_of = self._plain_of
+        if plain_of:
+            for objs in (self.program.tasks, self.program.handles):
+                for obj in objs:
+                    plain = plain_of.get(type(obj))
+                    if plain is not None:
+                        obj.__class__ = plain
+            plain_of.clear()
+        self._task_log = self._handle_log = None
 
     # -- entry point -------------------------------------------------------
 
@@ -455,56 +541,80 @@ class InvariantChecker:
                 f"is queued: the batch leaked",
             ))
 
-    # -- task families (snapshot diff) -------------------------------------
+    # -- task families (mirror diff) ---------------------------------------
 
     def _init_tasks(self) -> None:
         """Derive the task families' state for a fresh run.
 
         Starts from a virtual all-SUBMITTED state, whose derived state is
         known (expected counter = number of predecessors), and lets one
-        diff bring it up to the tasks' actual states. That diff's moves
-        are not judged: the run starts wherever the tasks are.
+        diff over every task bring it up to the tasks' actual states.
+        That diff's moves are not judged: the run starts wherever the
+        tasks are.
         """
         tasks = self.program.tasks
-        # State snapshot of the last sync: one byte per task, its TaskState.
-        self._states = bytes(len(tasks))
-        self._counts: list[int] = []
+        n = len(tasks)
+        # Mirrors as of the last sync: each task's TaskState as one byte,
+        # and its dependency counter.
+        self._states = bytearray(n)
+        self._counts = [0] * n
         self._expected = [len(t.preds) for t in tasks]
+        # Tids whose mirrored counter differs from the expected one.
+        self._mismatch: set[int] = set()
         self._n_done_seen = 0
         self._running: set[int] = set()
         self._ready: set[int] = set()
-        # SUBMITTED tasks whose expected counter is 0, revealed or not.
+        # SUBMITTED tasks whose expected counter is 0, revealed or not,
+        # and a min-heap over them (with lazily dropped leavers) for the
+        # lowest one: most of them are unrevealed.
         self._zero_submitted = {t.tid for t in tasks if not t.preds}
+        self._zero_heap = sorted(self._zero_submitted)
         # Cancelled tasks below ``_cxl_mark`` (the last reveal pointer).
         self._cxl_mark = 0
         self._n_cxl_rev = 0
-        self._sync()
+        if self._task_log is not None:
+            self._task_log.clear()
+        self._sync(range(n))
 
-    def _sync(self) -> "list[tuple[int, TaskState, TaskState]]":
-        """Snapshot every task and update the derived state from the moves.
+    def _sync(self, tids=None) -> "list[tuple[int, TaskState, TaskState]]":
+        """Bring the mirrors up to date and the derived state with them.
 
-        Returns the ``(tid, before, after)`` state moves since the previous
-        call in tid order. Invariant kept for every non-cancelled task:
-        ``_expected[tid]`` is the number of its predecessors that are
-        neither DONE nor CANCELLED in the snapshot. A cancelled task's
-        counter freezes at cancellation (the engine stops releasing it),
-        and so does its entry here: successor updates skip cancelled
-        tasks, so a clean cancelled task never shows up in the counter
-        comparison.
+        ``tids`` are the tasks to re-read, in ascending order; by default
+        those the barrier logged since the previous call (every task when
+        no barrier is installed). Returns the ``(tid, before, after)``
+        state moves since the previous call in tid order. Invariant kept
+        for every non-cancelled task: ``_expected[tid]`` is the number of
+        its predecessors that are neither DONE nor CANCELLED in the
+        mirror. A cancelled task's counter freezes at cancellation (the
+        engine stops releasing it), and so does its entry here: successor
+        updates skip cancelled tasks, so a clean cancelled task never
+        shows up as a counter mismatch.
         """
         tasks = self.program.tasks
-        states = bytes([t.state for t in tasks])
-        self._counts = [t.n_unfinished_preds for t in tasks]
-        prev = self._states
-        self._states = states
-        if states == prev:
-            return []
-        moves = [
-            (tid, _STATES[prev[tid]], _STATES[states[tid]])
-            for tid in _moved_tids(states, prev)
-        ]
+        if tids is None:
+            log = self._task_log
+            if log is None:
+                tids = range(len(tasks))
+            elif not log:
+                return []
+            else:
+                tids = sorted({task.tid for task in log})
+                log.clear()
+        states = self._states
+        counts = self._counts
+        moves = []
+        for tid in tids:
+            task = tasks[tid]
+            counts[tid] = task.n_unfinished_preds
+            after = task.state
+            before = states[tid]
+            if after != before:
+                states[tid] = after
+                moves.append((tid, _STATES[before], _STATES[after]))
         expected = self._expected
+        mismatch = self._mismatch
         running, ready, zero = self._running, self._ready, self._zero_submitted
+        zero_heap = self._zero_heap
         mark = self._cxl_mark
         uncancelled: list[int] = []
         for tid, before, after in moves:
@@ -525,6 +635,7 @@ class InvariantChecker:
             elif after is _S:
                 if expected[tid] == 0:
                     zero.add(tid)
+                    heappush(zero_heap, tid)
             elif after is _DONE:
                 self._n_done_seen += 1
             elif tid < mark:
@@ -542,9 +653,14 @@ class InvariantChecker:
                     continue
                 left = expected[sid] + step
                 expected[sid] = left
+                if counts[sid] != left:
+                    mismatch.add(sid)
+                else:
+                    mismatch.discard(sid)
                 if succ_state == _S:
                     if left == 0:
                         zero.add(sid)
+                        heappush(zero_heap, sid)
                     else:
                         zero.discard(sid)
         for tid in uncancelled:
@@ -557,8 +673,14 @@ class InvariantChecker:
             if states[tid] == _S:
                 if left == 0:
                     zero.add(tid)
+                    heappush(zero_heap, tid)
                 else:
                     zero.discard(tid)
+        for tid in tids:
+            if counts[tid] != expected[tid]:
+                mismatch.add(tid)
+            else:
+                mismatch.discard(tid)
         return moves
 
     def _cancelled_revealed(self, revealed: int) -> int:
@@ -592,7 +714,7 @@ class InvariantChecker:
     ) -> dict[int, list[tuple[Task, int]]]:
         """Every task is in exactly one bucket; counters are exact.
 
-        Reads the snapshot and derived state :meth:`_sync` left behind.
+        Reads the mirrors and derived state :meth:`_sync` left behind.
         Violations come out in tid order (within a task: counter, then
         holder, then bucket), followed by the completion count. Returns
         running/staged tasks as ``tid -> [(task, node)]`` so the MSI
@@ -618,12 +740,14 @@ class InvariantChecker:
         expected = self._expected
         zero = self._zero_submitted
         found: list[tuple[int, int, str]] = []
-        if counts != expected:
+        mismatch = self._mismatch
+        if mismatch:
             zero = set(zero)  # candidates by actual counter, not expected
-            for tid in compress(range(len(counts)), map(ne, counts, expected)):
+            for tid in sorted(mismatch):
                 if states[tid] == _CXL:
                     # A cancelled task's counter is not checked.
                     expected[tid] = counts[tid]
+                    mismatch.discard(tid)
                     continue
                 task = tasks[tid]
                 found.append((
@@ -638,18 +762,20 @@ class InvariantChecker:
                     else:
                         zero.discard(tid)
         for tid, wids in holders.items():
-            state = _STATES[states[tid]]
+            state = states[tid]
+            if state == _RUNNING and len(wids) == 1:
+                continue
             name = tasks[tid].name
-            if state is _CXL:
+            if state == _CXL:
                 found.append((
                     tid, 0, f"{name} is CANCELLED but held by worker(s) {wids}",
                 ))
                 continue
-            if state is not _RUNNING:
+            if state != _RUNNING:
                 found.append((
                     tid, 1,
                     f"{name} held by worker(s) {wids} but in state "
-                    f"{state.name}, not RUNNING",
+                    f"{_STATES[state].name}, not RUNNING",
                 ))
             if len(wids) > 1:
                 found.append((
@@ -670,7 +796,14 @@ class InvariantChecker:
                         f"{tasks[tid].name} is READY but was never submitted "
                         f"(revealed={revealed})",
                     ))
-        if zero and min(zero) < revealed:
+        if zero is self._zero_submitted:
+            zero_heap = self._zero_heap
+            while zero_heap and zero_heap[0] not in zero:
+                heappop(zero_heap)
+            lowest = zero_heap[0] if zero_heap else None
+        else:
+            lowest = min(zero, default=None)
+        if lowest is not None and lowest < revealed:
             # Submitted, dependencies met, yet not scheduler-held: only
             # legal as a failed task awaiting its retry event.
             idle = [t for t in zero if t < revealed and t not in holders]
@@ -727,12 +860,16 @@ class InvariantChecker:
     def _init_msi(self) -> None:
         """Reset the msi family's snapshots for a fresh run.
 
-        Every snapshot starts as ``None``, which equals no live value, so
-        the first call checks every handle and walks every bounded node.
+        Every snapshot starts as ``None``, which equals no live value, and
+        every handle counts as touched, so the first call checks every
+        handle and walks every bounded node.
         """
         platform = self.platform
-        n = len(self.program.handles)
-        self._hidx = {h.hid: i for i, h in enumerate(self.program.handles)}
+        handles = self.program.handles
+        n = len(handles)
+        self._hidx = {h.hid: i for i, h in enumerate(handles)}
+        if self._handle_log is not None:
+            self._handle_log[:] = handles
         # Nodes that start with workers: one losing its last worker takes
         # the replicas it hosted with it.
         self._staffed_nodes = tuple(
@@ -767,6 +904,8 @@ class InvariantChecker:
         Only then does the engine drop replicas (those the node hosted),
         so only then may a handle legally have no valid replica.
         """
+        if not self.ctx.death_us:
+            return False
         workers_of_node = self.ctx.workers_of_node
         return any(not workers_of_node(mid) for mid in self._staffed_nodes)
 
@@ -790,27 +929,33 @@ class InvariantChecker:
         hidx = self._hidx
         n = len(handles)
 
-        # Comprehensions: a slot read is cheaper there than by attrgetter.
+        # Only a handle the barrier logged can differ from its copy. The
+        # checker's own reads below bypass the barrier.
+        log = self._handle_log
+        if log is None:
+            touched = range(n)
+        else:
+            touched = {hidx[h.hid] for h in log}
+            log.clear()
         recheck: set[int] = set()
-        live = [h._pins for h in handles]
-        if live != self._msi_pins:
-            recheck.update(compress(range(n), map(ne, live, self._msi_pins)))
-        live = [h._in_flight for h in handles]
-        if live != self._msi_flight:
-            recheck.update(compress(range(n), map(ne, live, self._msi_flight)))
-        homes = [h.home_node for h in handles]
-        if homes != self._msi_home:
-            recheck.update(compress(range(n), map(ne, homes, self._msi_home)))
-            self._msi_home = homes
-        # Replicas and size also feed the residency walk.
         moved: set[int] = set()
-        live = [h.valid_nodes for h in handles]
-        if live != self._msi_valid:
-            moved.update(compress(range(n), map(ne, live, self._msi_valid)))
-        sizes = [h.size for h in handles]
-        if sizes != self._msi_size:
-            moved.update(compress(range(n), map(ne, sizes, self._msi_size)))
-            self._msi_size = sizes
+        valid_was, pins_was = self._msi_valid, self._msi_pins
+        flight_was, size_was, home_was = (
+            self._msi_flight, self._msi_size, self._msi_home
+        )
+        for i in touched:
+            handle = handles[i]
+            size = handle.size
+            home = handle.home_node
+            # Replicas and size also feed the residency walk.
+            if _valid_of(handle) != valid_was[i] or size != size_was[i]:
+                moved.add(i)
+            elif (_pins_of(handle) != pins_was[i]
+                    or _flight_of(handle) != flight_was[i]
+                    or home != home_was[i]):
+                recheck.add(i)
+            size_was[i] = size
+            home_was[i] = home
         recheck |= moved
 
         # Expected pins from the running/staged tasks' take() records;
@@ -878,9 +1023,9 @@ class InvariantChecker:
                     found[i] = violations
                 else:
                     found.pop(i, None)
-                self._msi_valid[i] = frozenset(handle.valid_nodes)
-                self._msi_pins[i] = handle._pins.copy()
-                self._msi_flight[i] = handle._in_flight.copy()
+                valid_was[i] = frozenset(_valid_of(handle))
+                pins_was[i] = _pins_of(handle).copy()
+                flight_was[i] = _flight_of(handle).copy()
         if found:
             for i in sorted(found):
                 out.extend(found[i])
@@ -888,7 +1033,7 @@ class InvariantChecker:
         # Pins on handles the running tasks never pinned.
         for (hid, node), want in expected_pins.items():
             handle = handles[hidx[hid]]
-            if node not in handle._pins:
+            if node not in _pins_of(handle):
                 out.append((
                     "msi",
                     f"{handle.label} should be pinned {want}x on node {node} "
@@ -910,7 +1055,7 @@ class InvariantChecker:
             self._msi_usage[mid] = usage[mid]
             before = len(out)
             for handle in [
-                h for h in resident.values() if mid not in h.valid_nodes
+                h for h in resident.values() if mid not in _valid_of(h)
             ]:
                 out.append((
                     "msi",
@@ -942,7 +1087,7 @@ class InvariantChecker:
         """One handle's replica-set, in-flight, pin and residency checks."""
         out: list[tuple[str, str]] = []
         label = handle.label
-        valid = handle.valid_nodes
+        valid = _valid_of(handle)
         if not valid and not exempt:
             out.append(("msi", f"{label} has no valid replica anywhere"))
         if not valid.issubset(node_ids):
@@ -950,14 +1095,14 @@ class InvariantChecker:
                 "msi",
                 f"{label} valid on unknown nodes {sorted(valid - node_ids)}",
             ))
-        for node in handle._in_flight:
+        for node in _flight_of(handle):
             if node not in valid:
                 out.append((
                     "msi",
                     f"{label} has a transfer in flight toward node {node} "
                     f"but no (eagerly registered) replica there",
                 ))
-        for node, count in handle._pins.items():
+        for node, count in _pins_of(handle).items():
             if count <= 0:
                 out.append((
                     "msi",

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.control.quota import QuotaAccountant, TenantQuota
 from repro.obs.events import JobAdmitted, JobDelayed, JobEvicted, JobRejected
-from repro.utils.validation import SchedulingError, ValidationError
+from repro.utils.validation import ValidationError
 from repro.workload.stream import QOS_CLASSES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -176,9 +176,11 @@ class ControlPlane:
     ) -> None:
         jobs = getattr(program, "jobs", None)
         if not jobs:
-            raise SchedulingError(
+            raise ValidationError(
                 "a control plane needs a merged job-stream program "
-                "(merge_stream output with job spans); got a plain Program"
+                "(merge_stream output with job spans); got a plain Program: "
+                "use run_stream() (or run_cluster()), or drop the control "
+                "config for a plain run"
             )
         self.config = config
         self.emit = emit
@@ -392,6 +394,28 @@ class ControlPlane:
             "delays": self.n_delays_total,
             "pending": by_status.get("pending", 0),
         }
+
+    def _value(self) -> tuple:
+        """What the plane decided: every job record, field by field, in
+        jid order, and the counters."""
+        return (
+            tuple(
+                tuple(getattr(rec, name) for name in JobRecord.__slots__)
+                for rec in self.records()
+            ),
+            self.counters(),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        # Value equality, so two identical controlled runs give equal
+        # SimResults; a plane is mutable, hence unhashable.
+        if not isinstance(other, ControlPlane):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{k}={v}" for k, v in self.counters().items())
+        return f"ControlPlane({len(self._records)} jobs: {counts})"
 
     def audit(self, now: float) -> list[tuple[str, str]]:
         """``control`` violations: the credit-conservation invariants,

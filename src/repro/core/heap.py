@@ -34,6 +34,7 @@ Staleness is detected two ways, combined with *or*:
 
 from __future__ import annotations
 
+from operator import ge
 from typing import Callable, Iterator
 
 from repro.runtime.task import Task
@@ -242,10 +243,19 @@ class TaskHeap:
         ``python -O`` (``MultiPrio.check`` relies on it).
         """
         a = self._a
+        # One C-level pass per property; the walk below runs only to name
+        # the first violation.
+        keys = [e.sort_key for e in a]
+        if (
+            [e.pos for e in a] == list(range(len(a)))
+            and all(map(ge, keys, keys[1::2]))  # parents of odd slots
+            and all(map(ge, keys, keys[2::2]))  # parents of even slots
+        ):
+            return
         for i, entry in enumerate(a):
             if entry.pos != i:
                 raise AssertionError(f"entry at {i} thinks it is at {entry.pos}")
-            if i > 0 and not a[(i - 1) >> 1].key() >= entry.key():
+            if i > 0 and not keys[(i - 1) >> 1] >= keys[i]:
                 raise AssertionError(f"heap order violated at {i}")
 
 

@@ -433,6 +433,19 @@ class Simulator:
 
     def run(self, program: Program) -> SimResult:
         """Simulate ``program`` to completion and return metrics."""
+        if not self.check_invariants:
+            return self._run(program, None)
+        # Deferred import: the default path never loads repro.check.
+        from repro.check.invariants import InvariantChecker
+
+        checker = InvariantChecker(self.obs)
+        try:
+            return self._run(program, checker)
+        finally:
+            # The checker's write barrier must not outlive the run.
+            checker.end_run()
+
+    def _run(self, program: Program, checker) -> SimResult:
         program.reset_runtime_state()
         self.platform.reset_runtime_state()
         ctx = self.ctx
@@ -826,12 +839,7 @@ class Simulator:
             if emit is not None:
                 emit(TaskStage(now, task.tid, worker.wid, arrival))
 
-        checker = None
-        if self.check_invariants:
-            # Deferred import: the default path never loads repro.check.
-            from repro.check.invariants import InvariantChecker
-
-            checker = InvariantChecker(obs)
+        if checker is not None:
             checker.begin_run(
                 program=program,
                 platform=self.platform,

@@ -816,17 +816,20 @@ class MultiPrio(Scheduler):
                     f"{len(heap)} entries"
                 )
         expect: dict[int, float] = {mid: 0.0 for mid in self.best_remaining_work}
-        seen: set[int] = set()
+        # Each task once, in the order its first untombstoned entry comes.
+        tasks: dict[Task, None] = {}
         for heap in self.heaps.values():
-            for entry in heap:
-                task = entry.task
-                if entry.dead or self._is_stale(task) or task.tid in seen:
-                    continue
-                seen.add(task.tid)
-                delta = task.sched.get("mp_best_delta", 0.0)
-                for mid in task.sched.get("mp_brw_nodes", ()):
-                    if mid in expect:
-                        expect[mid] += delta
+            tasks.update(dict.fromkeys([e.task for e in heap if not e.dead]))
+        ready = TaskState.READY
+        for task in tasks:
+            sched = task.sched
+            # _is_stale, inlined.
+            if task.state is not ready or sched.get("mp_taken", False):
+                continue
+            delta = sched.get("mp_best_delta", 0.0)
+            for mid in sched.get("mp_brw_nodes", ()):
+                if mid in expect:
+                    expect[mid] += delta
         for mid, want in expect.items():
             got = self.best_remaining_work[mid]
             if abs(got - want) > 1e-6 * max(1.0, abs(want)):

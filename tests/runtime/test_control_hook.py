@@ -34,7 +34,7 @@ from repro.platform import MACHINES
 from repro.runtime.engine import Simulator
 from repro.runtime.perfmodel import AnalyticalPerfModel
 from repro.schedulers.registry import make_scheduler
-from repro.utils.validation import SchedulingError
+from repro.utils.validation import ValidationError
 from repro.workload.merge import merge_stream
 from tests.runtime.test_fault_hook import MACHINE, SCHEDULERS, overload_stream
 
@@ -141,6 +141,20 @@ def test_result_with_its_plane_pickles():
     assert pickle.loads(pickle.dumps(res)).control.counters() == plane.counters()
 
 
+def test_identical_runs_give_equal_results():
+    # The plane compares and prints by value (job records and counters),
+    # so two identical controlled runs give equal SimResults.
+    first, plane = run("multiprio")
+    second, again = run("multiprio")
+    assert again is not plane and again == plane
+    assert second == first
+    assert repr(again) == repr(plane)
+    assert repr(plane).startswith("ControlPlane(") and " at 0x" not in repr(plane)
+    # One job that settled differently breaks the equality.
+    again.records()[0].status = "shed"
+    assert again != plane
+
+
 def test_plain_program_is_a_typed_error():
     # Admission decides per job, so a program without job spans has
     # nothing to decide on.
@@ -151,5 +165,5 @@ def test_plain_program_is_a_typed_error():
         AnalyticalPerfModel(machine.calibration()),
         control=ControlConfig.unlimited(),
     )
-    with pytest.raises(SchedulingError, match="merged job-stream program"):
+    with pytest.raises(ValidationError, match="merged job-stream program"):
         sim.run(cholesky_program(3, 256))
