@@ -7,18 +7,14 @@ with the queue intact — plus once more after the loop drains. Each call
 checks the ten invariant families below against the whole runtime state.
 
 Its cost follows what each event touched. For the length of a checked
-run, :meth:`InvariantChecker.begin_run` swaps the class of every task and
-every data handle of the program for a slot-compatible subclass
-(``__slots__ = ()``, built per run) whose properties store through the
-base class's slot descriptors and log the object's id: a task's tid on a
-write of ``state`` or ``n_unfinished_preds``; a handle's hid on a write
-of ``valid_nodes``, ``_pins``, ``_in_flight``, ``size`` or
-``home_node``, and on a *read* of the three mutable containers too,
-since those are mutated in place. :meth:`InvariantChecker.end_run`
-restores the plain classes whether the run ended normally or by raising.
-Unchecked runs never see these classes. On a 2-vCPU VM a logged write
-costs about 130-175 ns and any other read through the barrier about
-45 ns, against about 10 ns for a plain slot.
+run, :meth:`InvariantChecker.begin_run` installs a write barrier
+(:mod:`repro.check.barrier`): per-run logging classes on the program's
+tasks and data handles, the scheduler and its heaps, the transfer
+engine's residency tables and the control plane. Each call drains the
+barrier's logs and re-checks only what they name.
+:meth:`InvariantChecker.end_run` restores the plain classes whether the
+run ended normally or by raising. Unchecked runs never see these
+classes.
 
 The three task families (``window``, ``conservation``, ``task_state``)
 are exact but incremental. Each call drains the task log and diffs only
@@ -36,20 +32,24 @@ are those of a full snapshot diff.
 
 The ``msi`` family is exact but incremental the same way. It keeps a
 copy of each data handle's state as last checked (replica set, pins,
-in-flight transfers, size, home node) and that check's violations, and
-per bounded node a copy of its resident set and usage. Each call
-compares only the logged handles with their copies, adds those whose
-expected pins, COMMUTE membership or residency changed (every handle
-when the replica-loss exemption flips), and checks only these again; the
-cached verdicts of the rest are reported unchanged. A bounded node's
-residency is re-walked only when it or one of its resident handles
-changed, or when it was in violation. Outside a run (no barrier
-installed) both the task and the handle families treat everything as
-touched, so a checker driven by hand stays exact.
-``scheduler`` is the policy's own audit and sweeps its whole state.
-The ``rt`` and ``energy`` families are the run hooks' own audits
-(``audit(now)`` on each ledger); the resource grant log is consumed
-incrementally.
+in-flight transfers, size, home node) and that check's violations.
+Each call compares only the logged handles with their copies, adds
+those whose expected pins, COMMUTE membership or residency changed
+(every handle when the replica-loss exemption flips), and checks only
+these again; the cached verdicts of the rest are reported unchanged.
+The expected pins are updated only for the tasks whose running/staged
+holders changed. Per bounded node, the checker keeps what a walk of its
+residency would find, key by key, from the log of the residency tables'
+writes (:class:`_Residency`); a node is walked only when that is not
+clean, to word the report. Outside a run (no barrier installed) every
+task, handle and residency key counts as touched, so a checker driven
+by hand stays exact.
+``scheduler`` is the policy's own :meth:`~repro.schedulers.base.Scheduler.check`,
+incremental over the change log the barrier fills for it, and the
+``rt``, ``energy`` and ``control`` families are the run hooks' own
+audits (``audit(now)`` on each ledger and on the control plane); the
+resource grant log is consumed incrementally and the control audit keeps
+its tallies over the job records written.
 
 ``clock``
     Event times never move backward.
@@ -118,15 +118,16 @@ unchecked one.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
+from repro.check.barrier import Barrier, ResidencyTable
 from repro.control.plane import ControlPlane
 from repro.obs.events import InvariantViolation
 from repro.runtime.events import BATCH_FLUSH, TASK_RETRY
 from repro.runtime.faults import FaultInjector
 from repro.runtime.data import DataHandle
 from repro.runtime.task import AccessMode, Task, TaskState
+from repro.utils.incremental import ChangeLog
 from repro.utils.validation import InvariantError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -160,47 +161,65 @@ _STATES = tuple(TaskState)
 _FINISHED = (_DONE, _CXL)
 
 
-#: Task fields whose writes the barrier logs.
-_TASK_FIELDS = ("state", "n_unfinished_preds")
-#: Handle fields whose writes the barrier logs; reads of the mutable
-#: containers among them are logged too (they are mutated in place).
-_HANDLE_FIELDS = ("valid_nodes", "_pins", "_in_flight", "size", "home_node")
-_HANDLE_CONTAINERS = ("valid_nodes", "_pins", "_in_flight")
 #: The checker's own reads of handle containers: straight from the slots,
 #: so they neither mark a handle touched nor pay for the barrier.
 _valid_of = DataHandle.valid_nodes.__get__
 _pins_of = DataHandle._pins.__get__
 _flight_of = DataHandle._in_flight.__get__
+#: A key absent from a residency table.
+_ABSENT = object()
 
 
-def _barrier_class(base: type, slots: type, fields, containers, log: list) -> type:
-    """A slot-compatible subclass of ``base`` that logs its instances.
+class _Residency:
+    """What a bounded node's residency walk would find, kept per key.
 
-    Each of ``fields`` (slots of ``slots``) becomes a property that
-    stores through the slot descriptor and appends the object to
-    ``log``; reading one of ``containers`` appends it too. Other reads
-    go through a C-level getter on an alias of the slot descriptor.
+    ``sizes`` mirrors the resident set as last seen (hid -> size) and
+    ``total`` sums its integer sizes exactly; ``invalid`` holds the
+    resident handles not valid on the node, ``diverge`` the keys in only
+    one of the resident and recency tables, and ``odd`` the resident
+    handles whose size is not an integer (only a full walk sums those).
     """
-    append = log.append
-    namespace: dict = {"__slots__": ()}
-    for name in fields:
-        slot = getattr(slots, name)
-        alias = f"_slot_{name}"
-        namespace[alias] = slot
-        get = attrgetter(alias)
 
-        def write(obj, value, _set=slot.__set__):
-            _set(obj, value)
-            append(obj)
+    __slots__ = ("sizes", "total", "invalid", "diverge", "odd")
 
-        if name in containers:
-            def read(obj, _get=get):
-                append(obj)
-                return _get(obj)
+    def __init__(self) -> None:
+        self.sizes: dict[int, object] = {}
+        self.total = 0
+        self.invalid: set[int] = set()
+        self.diverge: set[int] = set()
+        self.odd: set[int] = set()
+
+    def update(self, mid: int, hid: int, resident: dict, last_use: dict) -> bool:
+        """Re-read one key; returns whether it entered or left the
+        resident set."""
+        old = self.sizes.pop(hid, _ABSENT)
+        if old is not _ABSENT:
+            if type(old) is int:
+                self.total -= old
+            else:
+                self.odd.discard(hid)
+        handle = resident.get(hid, _ABSENT)
+        if handle is _ABSENT:
+            self.invalid.discard(hid)
         else:
-            read = get
-        namespace[name] = property(read, write)
-    return type(f"Observed{base.__name__}", (base,), namespace)
+            size = self.sizes[hid] = handle.size
+            if type(size) is int:
+                self.total += size
+            else:
+                self.odd.add(hid)
+            if mid in _valid_of(handle):
+                self.invalid.discard(hid)
+            else:
+                self.invalid.add(hid)
+        if (handle is _ABSENT) == (hid in last_use):
+            self.diverge.add(hid)
+        else:
+            self.diverge.discard(hid)
+        return (old is _ABSENT) != (handle is _ABSENT)
+
+    def clean(self, usage) -> bool:
+        """Whether a full walk of the node would find nothing."""
+        return not (self.invalid or self.diverge or self.odd) and self.total == usage
 
 
 class InvariantChecker:
@@ -217,12 +236,13 @@ class InvariantChecker:
         self.obs = obs
         self.n_checks = 0
         self.control = None
-        # The barrier's logs of touched tasks and handles; None while no
-        # barrier is installed, which makes every object count as touched.
+        # The write barrier and its logs; None while none is installed,
+        # which makes every object count as touched.
+        self._barrier: Barrier | None = None
         self._task_log: list | None = None
         self._handle_log: list | None = None
-        # Barrier class -> the plain class it replaced.
-        self._plain_of: dict[type, type] = {}
+        self._residency_log: list | None = None
+        self._scheduler_log: ChangeLog | None = None
 
     def begin_run(
         self,
@@ -269,7 +289,13 @@ class InvariantChecker:
         self._node_of_wid = {w.wid: w.memory_node for w in platform.workers}
         self._node_ids = {n.mid for n in platform.nodes}
         self._last_now = 0.0
-        self._observe()
+        barrier = self._barrier = Barrier(
+            program, platform.transfers, scheduler, hooks
+        )
+        self._task_log = barrier.task_log
+        self._handle_log = barrier.handle_log
+        self._residency_log = barrier.residency_log
+        self._scheduler_log = barrier.scheduler_log
         self._init_tasks()
         self._init_msi()
         # Per-link monotonicity floor: (busy, demand, bytes, transfers).
@@ -298,42 +324,14 @@ class InvariantChecker:
         if violations:
             self._report(violations)
 
-    def _observe(self) -> None:
-        """Install the write barrier: give every task and handle of the
-        program its class's barrier subclass, logging into this checker."""
-        self._task_log = []
-        self._handle_log = []
-        plain_of = self._plain_of
-        observed: dict[type, type] = {}
-        for objs, slots, fields, containers, log in (
-            (self.program.tasks, Task, _TASK_FIELDS, (), self._task_log),
-            (self.program.handles, DataHandle, _HANDLE_FIELDS,
-             _HANDLE_CONTAINERS, self._handle_log),
-        ):
-            for obj in objs:
-                cls = type(obj)
-                barrier = observed.get(cls)
-                if barrier is None:
-                    if cls in plain_of:  # listed twice, already swapped
-                        continue
-                    barrier = observed[cls] = _barrier_class(
-                        cls, slots, fields, containers, log
-                    )
-                    plain_of[barrier] = cls
-                obj.__class__ = barrier
-
     def end_run(self) -> None:
-        """Remove the write barrier: every task and handle gets its plain
-        class back. Safe to call more than once, or without a run."""
-        plain_of = self._plain_of
-        if plain_of:
-            for objs in (self.program.tasks, self.program.handles):
-                for obj in objs:
-                    plain = plain_of.get(type(obj))
-                    if plain is not None:
-                        obj.__class__ = plain
-            plain_of.clear()
-        self._task_log = self._handle_log = None
+        """Remove the write barrier (:meth:`Barrier.remove`). Safe to call
+        more than once, or without a run."""
+        if self._barrier is not None:
+            self._barrier.remove()
+        self._barrier = None
+        self._task_log = self._handle_log = self._residency_log = None
+        self._scheduler_log = None
 
     # -- entry point -------------------------------------------------------
 
@@ -357,13 +355,21 @@ class InvariantChecker:
         self._check_msi(running, violations)
         if self.batch_pending is not None:
             self._check_batch(revealed, prev_now, violations)
-        for hook in self.hooks:
-            if hasattr(hook, "audit"):
-                violations.extend(hook.audit(self._last_now))
-        for detail in self.scheduler.check():
-            violations.append(("scheduler", str(detail)))
+        self._check_hooks(violations)
+        self._check_scheduler(violations)
         if violations:
             self._report(violations)
+
+    def _check_hooks(self, out: list) -> None:
+        """The run hooks' own audits (``rt``, ``energy``, ``control``)."""
+        for hook in self.hooks:
+            if hasattr(hook, "audit"):
+                out.extend(hook.audit(self._last_now))
+
+    def _check_scheduler(self, out: list) -> None:
+        """The policy's own :meth:`~repro.schedulers.base.Scheduler.check`."""
+        for detail in self.scheduler.check():
+            out.append(("scheduler", str(detail)))
 
     def _report(self, violations: list[tuple[str, str]]) -> None:
         now = self.ctx.now
@@ -704,6 +710,11 @@ class InvariantChecker:
         """The ``window``, ``conservation`` and ``task_state`` families;
         returns :meth:`_check_conservation`'s running/staged tasks."""
         moves = self._sync()
+        log = self._scheduler_log
+        if moves and log is not None:
+            # A task's state is an input of the policy's self-check.
+            tasks = self.program.tasks
+            log.items.extend([tasks[tid] for tid, _, _ in moves])
         self._check_window(revealed, n_done, prev_now, out)
         running = self._check_conservation(revealed, n_done, out)
         self._check_task_states(moves, out)
@@ -858,11 +869,11 @@ class InvariantChecker:
     # -- msi family (snapshot diff) ---------------------------------------
 
     def _init_msi(self) -> None:
-        """Reset the msi family's snapshots for a fresh run.
+        """Reset the msi family's state for a fresh run.
 
         Every snapshot starts as ``None``, which equals no live value, and
         every handle counts as touched, so the first call checks every
-        handle and walks every bounded node.
+        handle and reads every bounded node's residency in full.
         """
         platform = self.platform
         handles = self.program.handles
@@ -870,6 +881,8 @@ class InvariantChecker:
         self._hidx = {h.hid: i for i, h in enumerate(handles)}
         if self._handle_log is not None:
             self._handle_log[:] = handles
+        if self._residency_log is not None:
+            self._residency_log.clear()
         # Nodes that start with workers: one losing its last worker takes
         # the replicas it hosted with it.
         self._staffed_nodes = tuple(
@@ -886,17 +899,21 @@ class InvariantChecker:
         # Handle index -> the violations its last check found.
         self._msi_found: dict[int, list[tuple[str, str]]] = {}
         self._msi_exempt: bool | None = None
-        # Running/staged (task, node, pinned) triples the expected pins
-        # and COMMUTE handles below were derived from.
-        self._msi_running: list | None = None
+        # The running/staged holders the expected pins and COMMUTE
+        # handles below were derived from, with each task's share of both
+        # (``_msi_commute`` counts COMMUTE writers per handle); each
+        # handle's expected pin nodes, and the expected pins whose handle
+        # carries no pin there.
+        self._msi_running: dict | None = None
+        self._msi_shares: dict[int, tuple[list, list]] = {}
         self._msi_expected: dict[tuple[int, int], int] = {}
-        self._msi_commute: set[int] = set()
-        # Per bounded node: resident dict and usage at its last walk, and
-        # the nodes whose last walk found violations.
-        bounded = platform.transfers._resident
-        self._msi_resident: dict[int, dict | None] = dict.fromkeys(bounded)
-        self._msi_usage: dict[int, int | None] = dict.fromkeys(bounded)
-        self._msi_flagged_nodes: set[int] = set()
+        self._msi_commute: dict[int, int] = {}
+        self._msi_pin_nodes: dict[int, set[int]] = {}
+        self._msi_unpinned: set[tuple[int, int]] = set()
+        # Per bounded node: its residency as last read, and the resident
+        # and recency tables it was read from.
+        self._msi_nodes: dict[int, _Residency] = {}
+        self._msi_tables: dict[int, tuple[dict, dict]] = {}
 
     def _replicas_may_vanish(self) -> bool:
         """Whether a node that started with workers has none left alive.
@@ -917,15 +934,19 @@ class InvariantChecker:
         A handle's verdict depends only on its own state, its expected
         pin counts, its COMMUTE membership, its presence in the bounded
         nodes' resident sets and the replica-loss exemption; a bounded
-        node's depends on its resident dict, usage and LRU keys and on
-        its resident handles' replicas and sizes. A verdict is computed
-        again when one of its inputs changed and re-emitted from the
-        cache otherwise, so each call reports what a full sweep would,
-        in the same order.
+        node's depends on its resident and recency tables, its usage and
+        its resident handles' replicas and sizes. A handle's verdict is
+        computed again when one of its inputs changed and re-emitted from
+        the cache otherwise. A node's residency is kept per key
+        (:class:`_Residency`) from the barrier's log of the residency
+        tables' writes, so telling whether its walk would find anything
+        costs O(1); only then is the node walked, to word the report.
+        Each call reports what a full sweep would, in the same order.
         """
         handles = self.program.handles
         transfers = self.platform.transfers
         bounded = transfers._resident
+        last_use = transfers._last_use
         hidx = self._hidx
         n = len(handles)
 
@@ -963,56 +984,61 @@ class InvariantChecker:
         # pins-target-valid check (a concurrent commuting writer's
         # completion legally invalidates a replica another commuter still
         # pins — StarPU's COMMUTE leaves the order unspecified). Both are
-        # rebuilt only when the running/staged set changes.
-        key = [
-            (task, node, task.sched.get("_pinned", ()))
-            for entries in running.values()
-            for task, node in entries
-        ]
-        if key == self._msi_running:
-            expected_pins = self._msi_expected
-            commute_hids = self._msi_commute
-        else:
-            expected_pins = {}
-            commute_hids = set()
-            for task, node, pinned in key:
-                for handle in pinned:
-                    pin = (handle.hid, node)
-                    expected_pins[pin] = expected_pins.get(pin, 0) + 1
-                for handle, mode in task.accesses:
-                    if mode is AccessMode.COMMUTE:
-                        commute_hids.add(handle.hid)
-            changed = [
-                hid for (hid, _), _ in
-                expected_pins.items() ^ self._msi_expected.items()
-            ]
-            changed.extend(commute_hids ^ self._msi_commute)
-            recheck.update(map(hidx.__getitem__, changed))
-            self._msi_running = key
-            self._msi_expected = expected_pins
-            self._msi_commute = commute_hids
+        # updated only for the tasks whose holders changed.
+        if running != self._msi_running:
+            self._msi_update_pins(running, recheck)
+        expected_pins = self._msi_expected
+        commute_hids = self._msi_commute
 
         exempt = self._replicas_may_vanish()
         if exempt is not self._msi_exempt:
             self._msi_exempt = exempt
             recheck.update(range(n))
 
-        # Handles that entered or left a bounded node's resident set.
-        walk: set[int] = set()
+        # Residency: re-read the keys the tables logged. A node whose
+        # tables are not the logged ones it was read from is read in full.
+        nodes = self._msi_nodes
+        tables = self._msi_tables
+        res_log = self._residency_log
+        written = set(res_log) if res_log else ()
+        if res_log:
+            res_log.clear()
         for mid, resident in bounded.items():
-            saved = self._msi_resident[mid]
-            if resident != saved:
-                walk.add(mid)
-                if saved is not None:
-                    recheck.update(
-                        hidx[hid] for hid in resident.keys() ^ saved.keys()
-                        if hid in hidx
-                    )
-                self._msi_resident[mid] = resident.copy()
+            lru = last_use[mid]
+            saved = tables.get(mid)
+            if (
+                saved is None or saved[0] is not resident or saved[1] is not lru
+                or type(resident) is not ResidencyTable
+                or type(lru) is not ResidencyTable
+                or (mid, None) in written
+            ):
+                node = _Residency()
+                for hid in resident.keys() | lru.keys():
+                    node.update(mid, hid, resident, lru)
+                old = nodes.get(mid)
+                entered = node.sizes.keys() ^ (old.sizes.keys() if old else ())
+                recheck.update(hidx[hid] for hid in entered if hid in hidx)
+                nodes[mid] = node
+                tables[mid] = (resident, lru)
+        for mid in tables.keys() - bounded.keys():
+            del tables[mid], nodes[mid]
+        for mid, hid in written:
+            node = nodes.get(mid)
+            if (hid is not None and node is not None
+                    and node.update(mid, hid, bounded[mid], last_use[mid])
+                    and hid in hidx):
+                recheck.add(hidx[hid])
+        for i in moved:
+            hid = handles[i].hid
+            for mid, node in nodes.items():
+                if hid in node.sizes:
+                    node.update(mid, hid, bounded[mid], last_use[mid])
 
         found = self._msi_found
         if recheck:
             node_ids = self._node_ids
+            unpinned = self._msi_unpinned
+            pin_nodes = self._msi_pin_nodes
             for i in recheck:
                 handle = handles[i]
                 violations = self._msi_handle(
@@ -1023,62 +1049,122 @@ class InvariantChecker:
                     found[i] = violations
                 else:
                     found.pop(i, None)
+                pins = _pins_of(handle)
                 valid_was[i] = frozenset(_valid_of(handle))
-                pins_was[i] = _pins_of(handle).copy()
+                pins_was[i] = pins.copy()
                 flight_was[i] = _flight_of(handle).copy()
+                for node in pin_nodes.get(handle.hid, ()):
+                    if node in pins:
+                        unpinned.discard((handle.hid, node))
+                    else:
+                        unpinned.add((handle.hid, node))
         if found:
             for i in sorted(found):
                 out.extend(found[i])
 
-        # Pins on handles the running tasks never pinned.
-        for (hid, node), want in expected_pins.items():
-            handle = handles[hidx[hid]]
-            if node not in _pins_of(handle):
-                out.append((
-                    "msi",
-                    f"{handle.label} should be pinned {want}x on node {node} "
-                    f"by running/staged tasks but carries no pin",
-                ))
+        # Pins on handles the running tasks never pinned, worded in the
+        # order the running/staged holders list them.
+        if self._msi_unpinned:
+            ordered: dict[tuple[int, int], int] = {}
+            for entries in running.values():
+                for task, node in entries:
+                    for handle in task.sched.get("_pinned", ()):
+                        pin = (handle.hid, node)
+                        ordered[pin] = ordered.get(pin, 0) + 1
+            for (hid, node), want in ordered.items():
+                handle = handles[hidx[hid]]
+                if node not in _pins_of(handle):
+                    out.append((
+                        "msi",
+                        f"{handle.label} should be pinned {want}x on node {node} "
+                        f"by running/staged tasks but carries no pin",
+                    ))
 
         usage = transfers._usage
-        last_use = transfers._last_use
-        flagged = self._msi_flagged_nodes
-        moved_hids = [handles[i].hid for i in moved]
         for mid, resident in bounded.items():
-            if not (
-                mid in walk or mid in flagged
-                or usage[mid] != self._msi_usage[mid]
-                or resident.keys() != last_use[mid].keys()
-                or any(hid in resident for hid in moved_hids)
-            ):
-                continue
-            self._msi_usage[mid] = usage[mid]
-            before = len(out)
-            for handle in [
-                h for h in resident.values() if mid not in _valid_of(h)
-            ]:
-                out.append((
-                    "msi",
-                    f"{handle.label} accounted resident on node {mid} "
-                    f"but not valid there",
-                ))
-            total = sum([h.size for h in resident.values()])
-            if total != usage[mid]:
-                out.append((
-                    "msi",
-                    f"node {mid} usage counter says {usage[mid]} "
-                    f"bytes but resident handles sum to {total}",
-                ))
-            if resident.keys() != last_use[mid].keys():
-                out.append((
-                    "msi",
-                    f"node {mid} LRU recency keys diverge from the resident "
-                    f"set",
-                ))
-            if len(out) > before:
-                flagged.add(mid)
+            if not nodes[mid].clean(usage[mid]):
+                self._msi_walk(mid, resident, usage[mid], last_use[mid], out)
+
+    def _msi_update_pins(self, running: dict, recheck: set[int]) -> None:
+        """Bring the expected pin counts and COMMUTE handles up to the
+        running/staged holders, redoing only the tasks whose holders
+        changed; the handles whose inputs changed join ``recheck``."""
+        old = self._msi_running or {}
+        shares = self._msi_shares
+        expected = self._msi_expected
+        commute = self._msi_commute
+        tids = [tid for tid, holders in running.items() if old.get(tid) != holders]
+        tids.extend(old.keys() - running.keys())
+        pins: set[tuple[int, int]] = set()
+        hids: set[int] = set()
+        for tid in tids:
+            # Take the task's last share back, then add its current one.
+            pinned, commuted = shares.pop(tid, ((), ()))
+            for counts, keys in ((expected, pinned), (commute, commuted)):
+                for key in keys:
+                    left = counts[key] - 1
+                    if left:
+                        counts[key] = left
+                    else:
+                        del counts[key]
+            pins.update(pinned)
+            hids.update(commuted)
+            holders = running.get(tid)
+            if holders:
+                pinned = [
+                    (handle.hid, node) for task, node in holders
+                    for handle in task.sched.get("_pinned", ())
+                ]
+                commuted = [
+                    handle.hid for task, _ in holders
+                    for handle, mode in task.accesses if mode is AccessMode.COMMUTE
+                ]
+                for counts, keys in ((expected, pinned), (commute, commuted)):
+                    for key in keys:
+                        counts[key] = counts.get(key, 0) + 1
+                pins.update(pinned)
+                hids.update(commuted)
+                shares[tid] = (pinned, commuted)
+        self._msi_running = running
+        handles, hidx = self.program.handles, self._hidx
+        pin_nodes = self._msi_pin_nodes
+        unpinned = self._msi_unpinned
+        for pin in pins:
+            hid, node = pin
+            hids.add(hid)
+            nodes = pin_nodes.setdefault(hid, set())
+            if pin in expected:
+                nodes.add(node)
+                if node not in _pins_of(handles[hidx[hid]]):
+                    unpinned.add(pin)
+                    continue
             else:
-                flagged.discard(mid)
+                nodes.discard(node)
+            unpinned.discard(pin)
+        recheck.update(map(hidx.__getitem__, hids))
+
+    @staticmethod
+    def _msi_walk(mid: int, resident: dict, usage, last_use: dict, out: list) -> None:
+        """One bounded node's residency accounting, walked in full."""
+        for handle in [h for h in resident.values() if mid not in _valid_of(h)]:
+            out.append((
+                "msi",
+                f"{handle.label} accounted resident on node {mid} "
+                f"but not valid there",
+            ))
+        total = sum([h.size for h in resident.values()])
+        if total != usage:
+            out.append((
+                "msi",
+                f"node {mid} usage counter says {usage} "
+                f"bytes but resident handles sum to {total}",
+            ))
+        if resident.keys() != last_use.keys():
+            out.append((
+                "msi",
+                f"node {mid} LRU recency keys diverge from the resident "
+                f"set",
+            ))
 
     @staticmethod
     def _msi_handle(

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.control.quota import QuotaAccountant, TenantQuota
 from repro.obs.events import JobAdmitted, JobDelayed, JobEvicted, JobRejected
+from repro.utils.incremental import ChangeLog, ExactSum
 from repro.utils.validation import ValidationError
 from repro.workload.stream import QOS_CLASSES
 
@@ -417,9 +418,67 @@ class ControlPlane:
         counts = ", ".join(f"{k}={v}" for k, v in self.counters().items())
         return f"ControlPlane({len(self._records)} jobs: {counts})"
 
+    #: What changed since the last :meth:`audit`: a
+    #: :class:`~repro.utils.incremental.ChangeLog` of the job records
+    #: written, filled by the invariant checker's write barrier during a
+    #: checked run; None otherwise, and every audit starts over.
+    _audit_log = None
+
     def audit(self, now: float) -> list[tuple[str, str]]:
-        """``control`` violations: the credit-conservation invariants,
-        re-derived from scratch.
+        """``control`` violations: the credit-conservation invariants.
+
+        The per-status counts and the admitted jobs' remaining work are
+        kept between calls and updated for the records written since
+        the last one. While they and the exact in-flight sum clear every
+        invariant, only the token buckets are audited, and only after a
+        balance moved; otherwise :meth:`_audit_from_scratch` re-derives
+        everything and words the report.
+        """
+        log = self._audit_log or ChangeLog()
+        changed = log.drain()
+        memo = log.memo
+        if changed is None:
+            memo["shares"] = {}
+            memo["tally"] = dict.fromkeys(_TALLIES, 0)
+            memo["inflight"] = ExactSum()
+            records = self._records.values()
+        else:
+            records = dict.fromkeys(changed[0])
+        shares, tally, inflight = memo["shares"], memo["tally"], memo["inflight"]
+        for rec in records:
+            new = _audit_share(rec)
+            old = shares.pop(rec, None)
+            if new is not None:
+                shares[rec] = new
+            if new == old:
+                continue
+            for share, sign in ((old, -1), (new, 1)):
+                if share is not None:
+                    bucket, bad, remaining = share
+                    tally["seen"] += sign
+                    tally[bucket] += sign
+                    tally["bad"] += sign * bad
+                    if remaining is not None:
+                        (inflight.add if sign > 0 else inflight.remove)(remaining)
+        cfg = self.config
+        if (
+            tally["bad"]
+            or tally["seen"] != tally["admitted"] + tally["shed"] + tally["pending"]
+            or tally["seen"] != self.n_arrived
+            or not inflight.within(self.inflight_us, 1e-9, 1e-6)
+            or (cfg.max_inflight_us is not None
+                and self.inflight_us > cfg.max_inflight_us + 1e-6)
+        ):
+            return self._audit_from_scratch()
+        # The bucket audit reads only the balances: walk it when one moved.
+        balances = self.accountant._balance_us
+        if memo.get("balances") != balances:
+            memo["balances"] = dict(balances)
+            memo["buckets"] = [("control", d) for d in self.accountant.audit()]
+        return list(memo["buckets"])
+
+    def _audit_from_scratch(self) -> list[tuple[str, str]]:
+        """The audit re-derived from every record.
 
         * every decided job is admitted, shed, or pending another delay
           (``arrived == admitted + rejected + delayed``);
@@ -495,6 +554,34 @@ class ControlPlane:
                 )
         out.extend(self.accountant.audit())
         return [("control", detail) for detail in out]
+
+
+#: Tallies of the incremental audit: decided records, records with a
+#: violation of their own, and decided records per status bucket (None
+#: for an unknown status).
+_TALLIES = ("seen", "bad", "admitted", "shed", "pending", None)
+_BUCKETS = {
+    "admitted": "admitted", "done": "admitted", "evicted": "admitted",
+    "shed": "shed", "pending": "pending",
+}
+
+
+def _audit_share(rec: JobRecord) -> tuple | None:
+    """What one record adds to the audit's tallies: ``(bucket, has a
+    violation of its own, remaining work if admitted)``; None while the
+    job is undecided."""
+    if rec.first_decided_us is None:
+        return None
+    status = rec.status
+    bucket = _BUCKETS.get(status)
+    bad = (
+        bucket is None
+        or (status == "shed" and rec.qos == "guaranteed")
+        or (status == "pending" and rec.n_delays == 0)
+        or rec.n_left < 0
+        or rec.n_cancelled > rec.n_tasks
+    )
+    return bucket, bad, rec.remaining_us if status == "admitted" else None
 
 
 def default_overload_config(

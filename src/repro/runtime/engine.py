@@ -731,6 +731,23 @@ class Simulator:
             # thread resumes submitting exactly when the next job lands.
             for arrival_time in sorted({t for t in releases if t > 0.0}):
                 post(arrival_time, JOB_ARRIVAL, None)
+        if checker is not None:
+            # Before the first reveal, so its pushes pass the checker's
+            # write barrier too.
+            checker.begin_run(
+                program=program,
+                platform=self.platform,
+                ctx=ctx,
+                scheduler=scheduler,
+                current=current,
+                staged=staged,
+                events=events,
+                window=window,
+                releases=releases,
+                batch_pending=pending if batching else None,
+                batch_drain=batch_drain,
+                hooks=hooks,
+            )
         advance_submission()
 
         for worker in workers:
@@ -838,22 +855,6 @@ class Simulator:
             staged[worker.wid] = (task, arrival, duration)
             if emit is not None:
                 emit(TaskStage(now, task.tid, worker.wid, arrival))
-
-        if checker is not None:
-            checker.begin_run(
-                program=program,
-                platform=self.platform,
-                ctx=ctx,
-                scheduler=scheduler,
-                current=current,
-                staged=staged,
-                events=events,
-                window=window,
-                releases=releases,
-                batch_pending=pending if batching else None,
-                batch_drain=batch_drain,
-                hooks=hooks,
-            )
 
         while events:
             if checker is not None:

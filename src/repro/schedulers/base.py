@@ -113,6 +113,11 @@ class Scheduler:
         """
         return []
 
+    #: What changed since the last :meth:`check`: a
+    #: :class:`~repro.utils.incremental.ChangeLog` that the invariant
+    #: checker's write barrier fills during a checked run, None otherwise.
+    _check_log = None
+
     def check(self) -> list[str]:
         """Self-validate internal data structures; return violations.
 
@@ -121,9 +126,18 @@ class Scheduler:
         ``check_invariants=True``. Policies with invariants worth
         guarding (heap order, counter exactness, ...) override this and
         return a human-readable description per violated invariant; an
-        empty list means consistent. Never called on the default
-        zero-overhead path, so implementations may be thorough rather
-        than fast.
+        empty list means consistent.
+
+        The cost of a call should follow what changed since the previous
+        one, not the state the policy holds. During a checked run the
+        checker installs a per-run subclass whose :attr:`_check_log`
+        names the tasks and queues written since the last call
+        (:mod:`repro.check.barrier`); the policy re-verifies only those
+        and keeps its other verdicts in the log's ``memo``. Without a
+        log every call re-verifies everything. The violations, and their
+        order, must be those of a full sweep; the full sweeps live in the
+        test suite (``tests/check/reference.py``), which runs them beside
+        the incremental checks on every event.
         """
         return []
 

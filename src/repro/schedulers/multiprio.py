@@ -93,6 +93,7 @@ from repro.core.locality import ls_sdh2
 from repro.runtime.task import Task, TaskState
 from repro.runtime.worker import Worker
 from repro.schedulers.base import Scheduler
+from repro.utils.incremental import ChangeLog, ExactSum
 from repro.utils.validation import ValidationError, check_in_range, check_positive
 
 #: Sort key of a heap entry, without the ``HeapEntry.key`` call frame.
@@ -802,26 +803,100 @@ class MultiPrio(Scheduler):
         Verifies heap order/positions, the per-node ready-entry counters
         against the physical heap sizes, and ``best_remaining_work``
         against the exact sum of best-arch δ over untaken pushed tasks.
+
+        Incremental (:meth:`Scheduler.check`): a heap is re-verified only
+        after an insert, a removal or an entry write, and a task's BRW
+        share is re-derived only when its entries, ``mp_taken`` flag or
+        state changed. The shares are summed exactly per node; a counter
+        the exact sum clears with room to spare passes, and any doubt
+        falls back to :meth:`_brw_problems`, which recomputes the sums
+        as a full sweep does and words the report.
         """
+        log = self._check_log or ChangeLog()
+        changed = log.drain()
+        memo = log.memo
+        brw = self.best_remaining_work
+        if changed is None or memo.get("sums", {}).keys() != brw.keys():
+            memo.clear()
+            memo["heaps"] = {}  # mid -> (heap, structure violation or None)
+            memo["shares"] = {}  # task -> (best delta, BRW nodes)
+            memo["sums"] = {mid: ExactSum() for mid in brw}
+            memo["cleared"] = {}  # mid -> the counter value last cleared
+            tasks = self._live_tasks()
+            parts = set(self.heaps)
+        else:
+            tasks, parts = changed
+            tasks = dict.fromkeys(tasks)
+        shares, sums, cleared = memo["shares"], memo["sums"], memo["cleared"]
+        for task in tasks:
+            new = self._brw_share(task, brw)
+            old = shares.pop(task, None)
+            if new is not None:
+                shares[task] = new
+            if new == old:
+                continue
+            for share, put in ((old, ExactSum.remove), (new, ExactSum.add)):
+                if share is not None:
+                    delta, mids = share
+                    for mid in mids:
+                        put(sums[mid], delta)
+                        cleared.pop(mid, None)
+
         problems: list[str] = []
+        verdicts = memo["heaps"]
         for mid, heap in self.heaps.items():
-            try:
-                heap.check_invariants()
-            except AssertionError as exc:
-                problems.append(f"heap[{mid}] structure: {exc}")
+            verdict = verdicts.get(mid)
+            if mid in parts or verdict is None or verdict[0] is not heap:
+                try:
+                    heap.check_invariants()
+                    verdict = (heap, None)
+                except AssertionError as exc:
+                    verdict = (heap, f"heap[{mid}] structure: {exc}")
+                verdicts[mid] = verdict
+            if verdict[1] is not None:
+                problems.append(verdict[1])
             counted = self.ready_tasks_count.get(mid)
             if counted != len(heap):
                 problems.append(
                     f"ready_tasks_count[{mid}]={counted} but heap holds "
                     f"{len(heap)} entries"
                 )
-        expect: dict[int, float] = {mid: 0.0 for mid in self.best_remaining_work}
-        # Each task once, in the order its first untombstoned entry comes.
+        for mid, got in brw.items():
+            if cleared.get(mid) != got:
+                if not sums[mid].within(got, 1e-6, 1e-6):
+                    problems.extend(self._brw_problems())
+                    break
+                cleared[mid] = got
+        return problems
+
+    @staticmethod
+    def _brw_share(task: Task, brw: dict[int, float]) -> tuple | None:
+        """What ``task`` adds to the BRW counters: ``(δ, nodes)``, or None
+        when it is taken, not READY or has no live heap entry."""
+        sched = task.sched
+        if task.state is not TaskState.READY or sched.get("mp_taken", False):
+            return None
+        entries = sched.get("mp_entries")
+        if not entries or all(e.dead for e in entries.values()):
+            return None
+        mids = tuple(mid for mid in sched.get("mp_brw_nodes", ()) if mid in brw)
+        return (sched.get("mp_best_delta", 0.0), mids) if mids else None
+
+    def _live_tasks(self) -> dict[Task, None]:
+        """Each task with an untombstoned heap entry, once, in the order
+        its first such entry comes."""
         tasks: dict[Task, None] = {}
         for heap in self.heaps.values():
             tasks.update(dict.fromkeys([e.task for e in heap if not e.dead]))
+        return tasks
+
+    def _brw_problems(self) -> list[str]:
+        """``best_remaining_work`` against the live entries' sums, computed
+        from scratch the way a full sweep adds them."""
+        problems: list[str] = []
+        expect: dict[int, float] = {mid: 0.0 for mid in self.best_remaining_work}
         ready = TaskState.READY
-        for task in tasks:
+        for task in self._live_tasks():
             sched = task.sched
             # _is_stale, inlined.
             if task.state is not ready or sched.get("mp_taken", False):

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heappop, heappush
+from operator import le
 
 from repro.runtime.task import Task, TaskState
 from repro.runtime.worker import Worker
 from repro.schedulers.base import Scheduler
+from repro.utils.incremental import ChangeLog
 from repro.utils.validation import ValidationError
 
 _M64 = (1 << 64) - 1
@@ -237,8 +239,38 @@ class MultiQueue(Scheduler):
     # -- validation / reporting --------------------------------------------
 
     def check(self) -> list[str]:
+        """Size caches, sub-heap order and the live count.
+
+        Incremental (:meth:`Scheduler.check`): a sub-heap's order is
+        re-verified only after a push, pop or purge touched it, and the
+        live count is compared with a set of live tasks kept from the
+        logged tasks instead of an ``_is_live`` pass over every entry. A
+        task holding an ``mq_token`` has its entries queued (push hands
+        the token out only once they are placed; pop, retract and a dead
+        group's orphans take it back), so such a task is live while it
+        is READY. A mismatch is recounted from the entries to word it.
+        """
+        log = self._check_log or ChangeLog()
+        changed = log.drain()
+        memo = log.memo
+        if changed is None:
+            memo["order"] = {}  # (arch, idx) -> the sub-heap's order violations
+            memo["live"] = self._live_tasks()
+            parts = {
+                (arch, idx) for arch, group in self._groups.items()
+                for idx in range(len(group))
+            }
+        else:
+            tasks, parts = changed
+            live = memo["live"]
+            ready = TaskState.READY
+            for task in tasks:
+                if task.state is ready and "mq_token" in task.sched:
+                    live.add(task)
+                else:
+                    live.discard(task)
+        order = memo["order"]
         violations: list[str] = []
-        live_tids: set[int] = set()
         for arch, group in self._groups.items():
             for idx, heap in enumerate(group):
                 if self._sizes[arch][idx] != len(heap):
@@ -246,19 +278,40 @@ class MultiQueue(Scheduler):
                         f"multiqueue: size cache {self._sizes[arch][idx]} != "
                         f"len {len(heap)} for {arch}[{idx}]"
                     )
-                for pos, entry in enumerate(heap):
-                    if pos > 0 and heap[(pos - 1) >> 1] > entry:
-                        violations.append(
-                            f"multiqueue: heap order violated in {arch}[{idx}]"
-                        )
-                    if self._is_live(entry[3], entry[2]):
-                        live_tids.add(entry[3].tid)
-        if len(live_tids) != self._n_live:
-            violations.append(
-                f"multiqueue: live count {self._n_live} != "
-                f"{len(live_tids)} distinct live tasks"
-            )
+                key = (arch, idx)
+                if key in parts:
+                    order[key] = self._order_violations(arch, idx, heap)
+                violations.extend(order.get(key, ()))
+        if len(memo["live"]) != self._n_live:
+            memo["live"] = live = self._live_tasks()
+            if len(live) != self._n_live:
+                violations.append(
+                    f"multiqueue: live count {self._n_live} != "
+                    f"{len(live)} distinct live tasks"
+                )
         return violations
+
+    @staticmethod
+    def _order_violations(arch: str, idx: int, heap: list) -> list[str]:
+        """One message per slot whose parent outranks it (none in two
+        C-level passes when the order holds)."""
+        if all(map(le, heap, heap[1::2])) and all(map(le, heap, heap[2::2])):
+            return []
+        return [
+            f"multiqueue: heap order violated in {arch}[{idx}]"
+            for pos in range(1, len(heap))
+            if heap[(pos - 1) >> 1] > heap[pos]
+        ]
+
+    def _live_tasks(self) -> set[Task]:
+        """Tasks with a queued entry that still carries their token."""
+        return {
+            entry[3]
+            for group in self._groups.values()
+            for heap in group
+            for entry in heap
+            if self._is_live(entry[3], entry[2])
+        }
 
     def stats(self) -> dict[str, float]:
         return {

@@ -1,16 +1,21 @@
-"""Full-sweep reference for the checker's incremental families.
+"""Full-sweep references for the checker's incremental checks.
 
 The ``window``, ``conservation``, ``task_state`` and ``msi`` families of
 :class:`repro.check.invariants.InvariantChecker` are incremental: they
-diff per-call snapshots and keep derived state. :class:`ReferenceSweep`
-is the straightforward version they must agree with, violation for
-violation: on every call it walks every task, recounts each task's
-unfinished predecessors from their states, rescans the revealed prefix
-for cancelled tasks, and re-checks every data handle and every bounded
-node's residency. It is quadratic-ish and only meant for tests.
+diff per-call snapshots and keep derived state. So are the policies'
+self-checks (:meth:`MultiPrio.check`, :meth:`MultiQueue.check`) and the
+control plane's audit. :class:`ReferenceSweep` and the functions below
+are the straightforward versions they must agree with, violation for
+violation: on every call they walk every task, recount each task's
+unfinished predecessors from their states, rescan the revealed prefix
+for cancelled tasks, re-check every data handle and every bounded
+node's residency, every heap entry and every job record. They are
+quadratic-ish and only meant for tests.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.check.invariants import (
     _CONTROL_ONLY,
@@ -18,8 +23,11 @@ from repro.check.invariants import (
     _LEGAL,
     InvariantChecker,
 )
+from repro.control.plane import ControlPlane
 from repro.runtime.events import TASK_RETRY
 from repro.runtime.task import AccessMode, Task, TaskState
+from repro.schedulers.multiprio import MultiPrio
+from repro.schedulers.multiqueue import MultiQueue
 
 _S = TaskState.SUBMITTED
 _READY = TaskState.READY
@@ -269,33 +277,176 @@ class ReferenceSweep:
                     f"by running/staged tasks but carries no pin",
                 ))
 
-        for mid, resident in bounded.items():
-            total = 0
-            for handle in resident.values():
-                total += handle.size
-                if mid not in handle.valid_nodes:
-                    out.append((
-                        "msi",
-                        f"{handle.label} accounted resident on node {mid} "
-                        f"but not valid there",
-                    ))
-            if total != transfers._usage[mid]:
+        bounded_node_walk(transfers, out)
+
+
+def bounded_node_walk(transfers, out: list) -> None:
+    """Every bounded node's residency accounting against its handles."""
+    for mid, resident in transfers._resident.items():
+        total = 0
+        for handle in resident.values():
+            total += handle.size
+            if mid not in handle.valid_nodes:
                 out.append((
                     "msi",
-                    f"node {mid} usage counter says {transfers._usage[mid]} "
-                    f"bytes but resident handles sum to {total}",
+                    f"{handle.label} accounted resident on node {mid} "
+                    f"but not valid there",
                 ))
-            if resident.keys() != transfers._last_use[mid].keys():
-                out.append((
-                    "msi",
-                    f"node {mid} LRU recency keys diverge from the resident "
-                    f"set",
-                ))
+        if total != transfers._usage[mid]:
+            out.append((
+                "msi",
+                f"node {mid} usage counter says {transfers._usage[mid]} "
+                f"bytes but resident handles sum to {total}",
+            ))
+        if resident.keys() != transfers._last_use[mid].keys():
+            out.append((
+                "msi",
+                f"node {mid} LRU recency keys diverge from the resident "
+                f"set",
+            ))
+
+
+def multiprio_check(sched: MultiPrio) -> list[str]:
+    """:meth:`MultiPrio.check` as a sweep over every heap and entry."""
+    problems: list[str] = []
+    for mid, heap in sched.heaps.items():
+        try:
+            heap.check_invariants()
+        except AssertionError as exc:
+            problems.append(f"heap[{mid}] structure: {exc}")
+        counted = sched.ready_tasks_count.get(mid)
+        if counted != len(heap):
+            problems.append(
+                f"ready_tasks_count[{mid}]={counted} but heap holds "
+                f"{len(heap)} entries"
+            )
+    expect: dict[int, float] = {mid: 0.0 for mid in sched.best_remaining_work}
+    # Each task once, in the order its first untombstoned entry comes.
+    tasks: dict[Task, None] = {}
+    for heap in sched.heaps.values():
+        tasks.update(dict.fromkeys([e.task for e in heap if not e.dead]))
+    for task in tasks:
+        if task.state is not _READY or task.sched.get("mp_taken", False):
+            continue
+        delta = task.sched.get("mp_best_delta", 0.0)
+        for mid in task.sched.get("mp_brw_nodes", ()):
+            if mid in expect:
+                expect[mid] += delta
+    for mid, want in expect.items():
+        got = sched.best_remaining_work[mid]
+        if abs(got - want) > 1e-6 * max(1.0, abs(want)):
+            problems.append(
+                f"best_remaining_work[{mid}]={got!r} but the live "
+                f"entries sum to {want!r}"
+            )
+    return problems
+
+
+def multiqueue_check(sched: MultiQueue) -> list[str]:
+    """:meth:`MultiQueue.check` as a sweep over every queued entry."""
+    violations: list[str] = []
+    live_tids: set[int] = set()
+    for arch, group in sched._groups.items():
+        for idx, heap in enumerate(group):
+            if sched._sizes[arch][idx] != len(heap):
+                violations.append(
+                    f"multiqueue: size cache {sched._sizes[arch][idx]} != "
+                    f"len {len(heap)} for {arch}[{idx}]"
+                )
+            for pos, entry in enumerate(heap):
+                if pos > 0 and heap[(pos - 1) >> 1] > entry:
+                    violations.append(
+                        f"multiqueue: heap order violated in {arch}[{idx}]"
+                    )
+                if sched._is_live(entry[3], entry[2]):
+                    live_tids.add(entry[3].tid)
+    if len(live_tids) != sched._n_live:
+        violations.append(
+            f"multiqueue: live count {sched._n_live} != "
+            f"{len(live_tids)} distinct live tasks"
+        )
+    return violations
+
+
+def scheduler_check(sched) -> list[str]:
+    """The full sweep of ``sched``'s self-check (its own, when it keeps
+    no incremental state)."""
+    if isinstance(sched, MultiPrio):
+        return multiprio_check(sched)
+    if isinstance(sched, MultiQueue):
+        return multiqueue_check(sched)
+    return sched.check()
+
+
+def control_audit(plane: ControlPlane) -> list[tuple[str, str]]:
+    """:meth:`ControlPlane.audit` re-derived from every job record."""
+    out = []
+    n_seen = n_admitted = n_shed = n_pending = 0
+    inflight = 0.0
+    for rec in plane._records.values():
+        if rec.first_decided_us is None:
+            continue
+        n_seen += 1
+        if rec.status in ("admitted", "done", "evicted"):
+            n_admitted += 1
+        elif rec.status == "shed":
+            n_shed += 1
+            if rec.qos == "guaranteed":
+                out.append(f"guaranteed job j{rec.jid} has status 'shed'")
+        elif rec.status == "pending":
+            n_pending += 1
+            if rec.n_delays == 0:
+                out.append(
+                    f"job j{rec.jid} was decided but is pending with "
+                    f"no delay recorded: the decision leaked"
+                )
+        else:
+            out.append(f"job j{rec.jid} has unknown status {rec.status!r}")
+        if rec.status == "admitted":
+            inflight += rec.remaining_us
+        if rec.n_left < 0 or rec.n_cancelled > rec.n_tasks:
+            out.append(
+                f"job j{rec.jid} task accounting corrupt: n_left="
+                f"{rec.n_left}, n_cancelled={rec.n_cancelled}/{rec.n_tasks}"
+            )
+    if n_seen != n_admitted + n_shed + n_pending:
+        out.append(
+            f"credit conservation broken: {n_seen} decided jobs != "
+            f"{n_admitted} admitted + {n_shed} shed + {n_pending} delayed"
+        )
+    if n_seen != plane.n_arrived:
+        out.append(
+            f"arrival counter {plane.n_arrived} disagrees with "
+            f"{n_seen} first-decided records"
+        )
+    if not math.isinf(inflight) and abs(inflight - plane.inflight_us) > max(
+        1e-6, 1e-9 * abs(inflight)
+    ):
+        out.append(
+            f"in-flight gauge {plane.inflight_us:.3f}us diverges from the "
+            f"sum of admitted jobs' remaining work {inflight:.3f}us"
+        )
+    cfg = plane.config
+    if cfg.max_inflight_us is not None and plane.inflight_us > (
+        cfg.max_inflight_us + 1e-6
+    ):
+        g_work = sum(
+            r.remaining_us for r in plane._records.values()
+            if r.status == "admitted" and r.qos == "guaranteed"
+        )
+        if plane.inflight_us - g_work > cfg.max_inflight_us + 1e-6:
+            out.append(
+                f"in-flight work {plane.inflight_us:.1f}us exceeds the "
+                f"budget {cfg.max_inflight_us:.1f}us beyond what "
+                f"guaranteed-class overdraft ({g_work:.1f}us) explains"
+            )
+    out.extend(plane.accountant.audit())
+    return [("control", detail) for detail in out]
 
 
 class ReferenceChecker(InvariantChecker):
-    """An :class:`InvariantChecker` whose incremental families are the
-    full sweep."""
+    """An :class:`InvariantChecker` whose incremental families, scheduler
+    self-check and control audit are the full sweeps."""
 
     def begin_run(self, **kw) -> None:
         super().begin_run(**kw)
@@ -306,3 +457,13 @@ class ReferenceChecker(InvariantChecker):
 
     def _check_msi(self, running, out):
         self.reference.msi(running, out)
+
+    def _check_hooks(self, out):
+        for hook in self.hooks:
+            if isinstance(hook, ControlPlane):
+                out.extend(control_audit(hook))
+            elif hasattr(hook, "audit"):
+                out.extend(hook.audit(self._last_now))
+
+    def _check_scheduler(self, out):
+        out.extend(("scheduler", str(d)) for d in scheduler_check(self.scheduler))

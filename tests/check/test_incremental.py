@@ -1,11 +1,13 @@
-"""The incremental checker families agree with the full-sweep reference.
+"""The incremental checks agree with the full-sweep references.
 
 ``window``, ``conservation`` and ``task_state`` diff per-call snapshots
-instead of walking every task, and ``msi`` re-checks only the data
-handles whose replica state changed. These tests run them beside
-:class:`tests.check.reference.ReferenceSweep` and require the same
-``(family, detail)`` lists, order included, on every call; corrupted runs
-must raise the same error at the same check number.
+instead of walking every task; ``msi`` re-checks only the data handles
+and residency keys that changed; the MultiPrio and MultiQueue self-checks
+re-verify only the heaps and tasks their change log names, and the
+control plane's audit only the job records written. These tests run them
+beside the references of :mod:`tests.check.reference` and require the
+same ``(family, detail)`` lists, order included, on every call;
+corrupted runs must raise the same error at the same check number.
 """
 
 from __future__ import annotations
@@ -20,13 +22,22 @@ import repro.check.invariants as invariants
 from repro.api import SimSpec
 from repro.apps.dense import cholesky_program
 from repro.apps.fmm import fmm_program
+from repro.control.plane import ControlPlane
+from repro.core.heap import HeapEntry, TaskHeap
 from repro.platform.machines import MachineModel, intel_v100
 from repro.runtime.faults import FaultModel
 from repro.runtime.platform_config import LinkSpec, MachineSpec, MemoryNodeSpec
 from repro.runtime.task import AccessMode, Task, TaskState
 from repro.schedulers.eager import Eager
+from repro.schedulers.multiprio import MultiPrio
+from repro.schedulers.multiqueue import MultiQueue
 from repro.utils.validation import InvariantError
-from tests.check.reference import ReferenceChecker, ReferenceSweep
+from tests.check.reference import (
+    ReferenceChecker,
+    ReferenceSweep,
+    control_audit,
+    scheduler_check,
+)
 from tests.conftest import make_fork_join_program
 from tests.control.test_control_e2e import overloaded_run
 
@@ -38,12 +49,13 @@ _CXL = TaskState.CANCELLED
 
 
 class DifferentialChecker(invariants.InvariantChecker):
-    """Runs the reference sweep beside the incremental families and
+    """Runs the reference sweeps beside the incremental checks and
     asserts identical violations on every call.
 
     With ``rng`` set, each call may first corrupt task counters, task
-    states, the engine counters passed in, or replica state (handles and
-    bounded-node accounting); both sides judge the same corrupted state,
+    states, the engine counters passed in, replica state (handles and
+    bounded-node accounting), the scheduler's heaps and counters, or a
+    control record's status; both sides judge the same corrupted state,
     the corruption is undone before the engine goes on, and violations
     are collected instead of raised.
     """
@@ -56,6 +68,8 @@ class DifferentialChecker(invariants.InvariantChecker):
         self.reference = ReferenceSweep(self)
         self.compared: list[list[tuple[str, str]]] = []
         self.msi_compared: list[list[tuple[str, str]]] = []
+        self.scheduler_compared: list[list[tuple[str, str]]] = []
+        self.control_compared: list[list[tuple[str, str]]] = []
         self.runs.append(self)
 
     def _corrupt(self, revealed: int, n_done: int):
@@ -111,11 +125,22 @@ class DifferentialChecker(invariants.InvariantChecker):
             kind = rng.choice((
                 "unknown-node", "non-positive-pin", "bump-pin", "in-flight",
                 "no-replica", "size", "home", "resident", "usage", "lru",
+                "resident-dropped", "lru-dropped",
             ))
-            if kind in ("resident", "usage", "lru"):
+            if kind in ("resident", "usage", "lru", "resident-dropped",
+                        "lru-dropped"):
                 if not transfers._resident:
                     continue
                 mid = rng.choice(sorted(transfers._resident))
+                if kind.endswith("-dropped"):
+                    # Behind the transfer engine's back, in the live table;
+                    # refilled in order afterwards.
+                    table = (transfers._resident if kind == "resident-dropped"
+                             else transfers._last_use)[mid]
+                    if table:
+                        undo.append((table, None, dict(table)))
+                        del table[rng.choice(sorted(table))]
+                    continue
                 if kind == "usage":
                     usage = transfers._usage
                     undo.append((usage, mid, usage[mid]))
@@ -174,13 +199,91 @@ class DifferentialChecker(invariants.InvariantChecker):
             super()._check_msi(running, again)
             assert again == ref, f"check #{self.n_checks} (repeated)"
         for target, key, value in reversed(undo):
-            if isinstance(target, dict):
+            if key is None:
+                target.clear()
+                target.update(value)
+            elif isinstance(target, dict):
                 target[key] = value
             else:
                 setattr(target, key, value)
         assert new == ref, f"check #{self.n_checks}"
         self.msi_compared.append(new)
         out.extend(new)
+
+    def _corrupt_scheduler(self):
+        """Swap two heap entries' positions or nudge a BRW counter by 1.0
+        (MultiPrio), or put a size cache or the live count off by one
+        (MultiQueue); returns the undo callables."""
+        rng, sched = self.rng, self.scheduler
+        undo = []
+        if rng.random() >= 0.3:
+            return undo
+        if isinstance(sched, MultiPrio):
+            subs = [
+                sub for heap in sched.heaps.values()
+                for sub in getattr(heap, "_subs", (heap,)) if len(sub) >= 2
+            ]
+            if subs and rng.random() < 0.5:
+                a, b = rng.sample(list(rng.choice(subs)), 2)
+                a.pos, b.pos = b.pos, a.pos
+
+                def swap_back(a=a, b=b):
+                    a.pos, b.pos = b.pos, a.pos
+
+                undo.append(swap_back)
+            elif sched.best_remaining_work:
+                brw = sched.best_remaining_work
+                mid = rng.choice(sorted(brw))
+                undo.append(lambda mid=mid, was=brw[mid]: brw.__setitem__(mid, was))
+                brw[mid] += rng.choice((-1.0, 1.0))
+        elif isinstance(sched, MultiQueue):
+            step = rng.choice((-1, 1))
+            if rng.random() < 0.5 and sched._sizes:
+                sizes = sched._sizes[rng.choice(sorted(sched._sizes))]
+                idx = rng.randrange(len(sizes))
+                undo.append(lambda idx=idx, was=sizes[idx]: sizes.__setitem__(idx, was))
+                sizes[idx] += step
+            else:
+                undo.append(lambda was=sched._n_live: setattr(sched, "_n_live", was))
+                sched._n_live += step
+        return undo
+
+    def _check_scheduler(self, out):
+        undo = self._corrupt_scheduler() if self.rng is not None else []
+        new = [("scheduler", str(d)) for d in self.scheduler.check()]
+        ref = [("scheduler", str(d)) for d in scheduler_check(self.scheduler)]
+        if undo:
+            # Nothing was written since: the kept verdicts must come back.
+            again = [("scheduler", str(d)) for d in self.scheduler.check()]
+            assert again == ref, f"check #{self.n_checks} (repeated)"
+        for restore in reversed(undo):
+            restore()
+        assert new == ref, f"check #{self.n_checks}"
+        self.scheduler_compared.append(new)
+        out.extend(new)
+
+    def _check_hooks(self, out):
+        plane = self.control
+        if plane is not None:
+            undo = []
+            if self.rng is not None and self.rng.random() < 0.3:
+                rec = self.rng.choice(list(plane._records.values()))
+                undo.append(lambda rec=rec, was=rec.status: setattr(rec, "status", was))
+                rec.status = self.rng.choice([
+                    s for s in ("pending", "admitted", "done", "shed", "evicted",
+                                "lost")
+                    if s != rec.status
+                ])
+            new = plane.audit(self._last_now)
+            ref = control_audit(plane)
+            if undo:
+                again = plane.audit(self._last_now)
+                assert again == ref, f"check #{self.n_checks} (repeated)"
+            for restore in undo:
+                restore()
+            assert new == ref, f"check #{self.n_checks}"
+            self.control_compared.append(new)
+        super()._check_hooks(out)
 
     def _check_conservation(self, revealed, n_done, out):
         if self.rng is None:
@@ -231,6 +334,15 @@ CONFIGS = {
     "dmdas": lambda: SimSpec(
         "intel-v100", "dmdas", check_invariants=True
     ).run(cholesky_program(6, 960)),
+    "multiprio-relaxed": lambda: SimSpec(
+        "intel-v100", MultiPrio(relaxed=3), check_invariants=True
+    ).run(cholesky_program(6, 960)),
+    "multiprio-evicting": lambda: SimSpec(
+        "small-hetero", MultiPrio(evict_on_reject=True), check_invariants=True
+    ).run(cholesky_program(5, 384)),
+    "multiqueue": lambda: SimSpec(
+        "intel-v100", "multiqueue", check_invariants=True
+    ).run(cholesky_program(6, 960)),
 }
 
 
@@ -246,16 +358,42 @@ def differential(monkeypatch):
     return install
 
 
+def _count_calls(monkeypatch, owner, name, calls):
+    plain = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 class TestReferenceDifferential:
     @pytest.mark.parametrize("config", sorted(CONFIGS))
-    def test_clean_run_matches_reference_every_event(self, config, differential):
+    def test_clean_run_matches_reference_every_event(
+        self, config, differential, monkeypatch
+    ):
         cls = differential()
+        # A clean run never needs the from-scratch paths: the logs keep
+        # the incremental state exact. MultiQueue counts its live tasks
+        # once per run, when the log starts out reset.
+        calls = dict.fromkeys(("_brw_problems", "_audit_from_scratch", "_live_tasks"), 0)
+        _count_calls(monkeypatch, MultiPrio, "_brw_problems", calls)
+        _count_calls(monkeypatch, ControlPlane, "_audit_from_scratch", calls)
+        _count_calls(monkeypatch, MultiQueue, "_live_tasks", calls)
         CONFIGS[config]()
+        n_multiqueue = sum(isinstance(c.scheduler, MultiQueue) for c in cls.runs)
+        assert calls == {
+            "_brw_problems": 0, "_audit_from_scratch": 0, "_live_tasks": n_multiqueue,
+        }
         assert cls.runs
         for checker in cls.runs:
             assert len(checker.compared) == checker.n_checks > 0
             assert len(checker.msi_compared) == checker.n_checks
+            assert len(checker.scheduler_compared) == checker.n_checks
             assert not any(checker.compared) and not any(checker.msi_compared)
+            assert not any(checker.scheduler_compared)
+            assert not any(checker.control_compared)
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_corrupted_states_match_reference(self, config, differential):
@@ -263,10 +401,16 @@ class TestReferenceDifferential:
         CONFIGS[config]()
         flagged = [
             v for checker in cls.runs
-            for v in checker.compared + checker.msi_compared if v
+            for v in (checker.compared + checker.msi_compared
+                      + checker.scheduler_compared + checker.control_compared)
+            if v
         ]
         families = {f for violations in flagged for f, _ in violations}
         assert flagged and {"conservation", "task_state", "msi"} <= families
+        if isinstance(cls.runs[0].scheduler, (MultiPrio, MultiQueue)):
+            assert "scheduler" in families
+        if cls.runs[0].control is not None:
+            assert "control" in families
 
     def test_memory_pressure_config_evicts(self, differential):
         cls = differential()
@@ -338,25 +482,31 @@ class TestMsiCachedVerdicts:
         assert self.msi(checker) == first
 
 
-class PopSaboteur(Eager):
-    """Delegates to Eager; the N-th successful pop calls ``corrupt(task)``
-    and hands out the task it returns instead."""
+def saboteur(base: type) -> type:
+    """``base`` whose N-th successful pop calls ``corrupt(task)`` and
+    hands out the task it returns instead."""
 
-    name = "saboteur"
+    class PopSaboteur(base):
+        name = "saboteur"
 
-    def __init__(self, after: int, corrupt) -> None:
-        super().__init__()
-        self._after = after
-        self._corrupt = corrupt
-        self._pops = 0
+        def __init__(self, after: int, corrupt) -> None:
+            super().__init__()
+            self._after = after
+            self._corrupt = corrupt
+            self._pops = 0
 
-    def pop(self, worker):
-        task = super().pop(worker)
-        if task is not None:
-            self._pops += 1
-            if self._pops == self._after:
-                return self._corrupt(task)
-        return task
+        def pop(self, worker):
+            task = super().pop(worker)
+            if task is not None:
+                self._pops += 1
+                if self._pops == self._after:
+                    return self._corrupt(task)
+            return task
+
+    return PopSaboteur
+
+
+PopSaboteur = saboteur(Eager)
 
 
 def _running(program, popped):
@@ -370,7 +520,7 @@ def _sink(program, popped):
 
 
 def _set(pick, state):
-    def corrupt(program, popped, transfers):
+    def corrupt(program, popped, sched):
         pick(program, popped).state = state
         return popped
     return corrupt
@@ -385,7 +535,7 @@ def _ready_last(program, popped):
     )
 
 
-def _run_twice(program, popped, transfers):
+def _run_twice(program, popped, sched):
     # READY again passes the engine's pop-time check, so the popping
     # worker starts (or stages) a task that is already held.
     task = _running(program, popped)
@@ -393,15 +543,15 @@ def _run_twice(program, popped, transfers):
     return task
 
 
-def _drift(program, popped, transfers):
+def _drift(program, popped, sched):
     program.tasks[-1].n_unfinished_preds += 1
     return popped
 
 
 def _msi(corrupt):
     """Corrupt replica state; the popped task is handed out unchanged."""
-    def apply(program, popped, transfers):
-        corrupt(program, transfers)
+    def apply(program, popped, sched):
+        corrupt(program, sched.ctx.platform.transfers)
         return popped
     return apply
 
@@ -451,6 +601,23 @@ def _usage_drift(program, transfers):
     transfers._usage[_resident_node(transfers)] += 1
 
 
+def _policy(corrupt):
+    """Corrupt the scheduler's own state; the popped task is handed out
+    unchanged."""
+    def apply(program, popped, sched):
+        corrupt(sched)
+        return popped
+    return apply
+
+
+def _nudge(table, by):
+    """Add ``by`` to the first entry of the scheduler's ``table``."""
+    def corrupt(sched):
+        counts = getattr(sched, table)
+        counts[next(iter(counts))] += by
+    return corrupt
+
+
 def _lru_desync(program, transfers):
     # A recency entry for no resident handle (a dropped one could be
     # re-touched by the popped task's acquire).
@@ -458,8 +625,8 @@ def _lru_desync(program, transfers):
 
 
 #: name -> (program factory, pop number, corrupt(program, popped,
-#: transfers), extra SimSpec keywords (``machine`` picks the platform),
-#: expected detail).
+#: scheduler), extra SimSpec keywords (``machine`` picks the platform,
+#: ``policy`` the saboteur's base, Eager by default), expected detail).
 CORRUPTIONS = {
     "ready-never-submitted": (
         lambda: cholesky_program(5, 384), 2, _set(_sink, _READY),
@@ -547,6 +714,36 @@ CORRUPTIONS = {
         {}, r"\[msi\] A\[5,4\] pin count on node 0 is 1 but running/staged "
             r"tasks account for 0",
     ),
+    "multiprio-brw-nudged": (
+        lambda: cholesky_program(5, 384), 3,
+        _policy(_nudge("best_remaining_work", 1.0)),
+        {"policy": MultiPrio}, r"\[scheduler\] best_remaining_work\[\d+\]=",
+    ),
+    "multiprio-ready-count": (
+        lambda: cholesky_program(5, 384), 3,
+        _policy(_nudge("ready_tasks_count", 1)),
+        {"policy": MultiPrio}, r"\[scheduler\] ready_tasks_count\[\d+\]=",
+    ),
+    "multiqueue-size-cache": (
+        lambda: cholesky_program(5, 384), 3,
+        _policy(lambda sched: sched._sizes["cpu"].__setitem__(0, sched._sizes["cpu"][0] + 1)),
+        {"policy": MultiQueue}, r"\[scheduler\] multiqueue: size cache",
+    ),
+    # A READY task reset behind the policy's back: it leaves the BRW
+    # sums and the live tasks although no policy method ran.
+    "multiprio-ready-reset": (
+        lambda: cholesky_program(5, 384), 3, _set(_ready_last, _S),
+        {"policy": MultiPrio}, r"\[scheduler\] best_remaining_work\[\d+\]=",
+    ),
+    "multiqueue-ready-reset": (
+        lambda: cholesky_program(5, 384), 3, _set(_ready_last, _S),
+        {"policy": MultiQueue}, r"\[scheduler\] multiqueue: live count",
+    ),
+    "multiqueue-live-count": (
+        lambda: cholesky_program(5, 384), 3,
+        _policy(lambda sched: setattr(sched, "_n_live", sched._n_live - 1)),
+        {"policy": MultiQueue}, r"\[scheduler\] multiqueue: live count",
+    ),
 }
 
 
@@ -555,11 +752,11 @@ class TestCorruptionMatchesReference:
         make, after, corrupt, kw, _ = CORRUPTIONS[name]
         monkeypatch.setattr(invariants, "InvariantChecker", checker_cls)
         program = make()
-        sched = PopSaboteur(
-            after,
-            lambda popped: corrupt(program, popped, sched.ctx.platform.transfers),
-        )
         kw = dict(kw)
+        sched = saboteur(kw.pop("policy", Eager))(
+            after,
+            lambda popped: corrupt(program, popped, sched),
+        )
         machine = kw.pop("machine", "small-hetero")
         spec = SimSpec(machine, sched, check_invariants=True, **kw)
         with pytest.raises(InvariantError) as err:
@@ -574,6 +771,80 @@ class TestCorruptionMatchesReference:
         assert re.search(CORRUPTIONS[name][-1], got), got
         check_no = re.compile(r"check #(\d+)")
         assert check_no.search(got)[1] == check_no.search(want)[1]
+        assert got == want
+
+
+def _misplace_nth_insert(monkeypatch, n: int) -> None:
+    """The n-th heap insert leaves its entry with a wrong position,
+    written past the entry's own barrier (as a bug in the heap would)."""
+    plain = TaskHeap.insert
+    count = [0]
+
+    def insert(self, task, gain, prio):
+        entry = plain(self, task, gain, prio)
+        count[0] += 1
+        if count[0] == n:
+            HeapEntry.pos.__set__(entry, entry.pos + 1)
+        return entry
+
+    monkeypatch.setattr(TaskHeap, "insert", insert)
+
+
+def _unsifted_after(monkeypatch, name: str, n: int) -> None:
+    """From the n-th call on, MultiQueue's ``heappush``/``heappop``
+    append or take the first slot without restoring the heap order."""
+    import repro.schedulers.multiqueue as multiqueue
+
+    plain = getattr(multiqueue, name)
+    count = [0]
+
+    def broken(heap, *item):
+        count[0] += 1
+        if count[0] < n:
+            return plain(heap, *item)
+        return heap.append(*item) if item else heap.pop(0)
+
+    monkeypatch.setattr(multiqueue, name, broken)
+
+
+#: name -> (scheduler factory, break(monkeypatch), expected detail).
+BUGGY_QUEUES = {
+    "multiprio-insert-misplaced": (
+        MultiPrio, lambda mp: _misplace_nth_insert(mp, 12),
+        r"\[scheduler\] heap\[\d\] structure: entry at \d+ thinks it is at",
+    ),
+    # One heap per arch (k=1), so the queues grow deep enough to break.
+    "multiqueue-push-unsifted": (
+        lambda: MultiQueue(k=1), lambda mp: _unsifted_after(mp, "heappush", 8),
+        r"\[scheduler\] multiqueue: heap order violated",
+    ),
+    "multiqueue-pop-unsifted": (
+        lambda: MultiQueue(k=1), lambda mp: _unsifted_after(mp, "heappop", 3),
+        r"\[scheduler\] multiqueue: heap order violated",
+    ),
+}
+
+
+class TestBuggyQueuesMatchReference:
+    """A queue whose own code breaks its invariants is reported like the
+    reference reports it: the barrier logs the queue the buggy method
+    wrote, not only the fields it wrote through."""
+
+    def first_error(self, monkeypatch, checker_cls, name) -> str:
+        make, breaks, _ = BUGGY_QUEUES[name]
+        with monkeypatch.context() as mp:
+            mp.setattr(invariants, "InvariantChecker", checker_cls)
+            breaks(mp)
+            spec = SimSpec("small-hetero", make(), check_invariants=True)
+            with pytest.raises(InvariantError) as err:
+                spec.run(cholesky_program(5, 384))
+        return str(err.value)
+
+    @pytest.mark.parametrize("name", sorted(BUGGY_QUEUES))
+    def test_raises_like_the_reference(self, monkeypatch, name):
+        got = self.first_error(monkeypatch, invariants.InvariantChecker, name)
+        want = self.first_error(monkeypatch, ReferenceChecker, name)
+        assert re.search(BUGGY_QUEUES[name][-1], got), got
         assert got == want
 
 
